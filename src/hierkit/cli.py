@@ -3,13 +3,14 @@
 Each subcommand wires library calls into one analysis pipeline and writes
 plot-ready tables plus a `run.json` manifest (inputs, options, seed, toolkit
 version, no timestamps), so identical invocations produce byte-identical
-output directories.  Exit codes: 0 success, 2 usage error, 1 data error.
+output directories.  The manifest comes from the parsed flags alone: inputs
+are the file-path flags, options are the rest, and seed is `--seed` or null.
+Exit codes: 0 success, 2 usage error, 1 data error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from . import __version__
 from .collapse import class_statistics, lift_to_superclass, nc_report
 from .hierarchy import graph_distance_matrix, parse_hierarchy
 from .io import (read_features, read_head, read_predictions, write_features,
-                 write_predictions, write_table)
+                 write_json, write_predictions, write_table)
 from .labelspace import (LabelSpace, build_labelspace, hyponym_space,
                          parse_grouping, project_log, random_isomorphic,
                          read_labelspace, write_labelspace)
@@ -31,7 +32,7 @@ from .metrics import (accuracy_series, baseline, confusion_matrix,
                       residual_error, theoretical_superclass_accuracy)
 from .synth import (default_trajectory_params, gen_etf,
                     gen_hierarchical_trajectory, gen_prediction_trajectory,
-                    mc_superclass_accuracy, parse_trajectory_config)
+                    mc_superclass_accuracy, parse_schedule, parse_trajectory_config)
 
 __all__ = ["main", "run"]
 
@@ -44,19 +45,22 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# File-path flags; run.json records them under "inputs", None as "".
+_INPUT_FLAGS = ("hierarchy", "classes", "groups", "labelspace", "log", "features",
+                "head", "config")
+# Namespace keys that are neither inputs nor options.
+_NOT_OPTIONS = ("group", "action", "func", "out", "seed")
 
 
-def _manifest(out: Path, command: str, seed, inputs: dict, options: dict) -> None:
-    payload = {"command": command, "version": __version__, "seed": seed,
-               "inputs": {k: str(v) for k, v in inputs.items()},
-               "options": options}
-    with open(out / "run.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2))
-        fh.write("\n")
+def _manifest(args) -> dict:
+    """The run.json payload, derived from the parsed namespace alone."""
+    flags = vars(args)
+    return {"command": f"{args.group} {args.action}", "version": __version__,
+            "seed": flags.get("seed"),
+            "inputs": {k: "" if v is None else str(v)
+                       for k, v in flags.items() if k in _INPUT_FLAGS},
+            "options": {k: v for k, v in flags.items()
+                        if k not in _INPUT_FLAGS and k not in _NOT_OPTIONS}}
 
 
 def _space_from_sizes(sizes) -> LabelSpace:
@@ -77,41 +81,18 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _parse_schedule(text: str, epochs: int, flag: str) -> np.ndarray:
-    if text.startswith("linear:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise _UsageError(f"{flag} expects 'linear:a:b' or a comma list, got {text!r}")
-        return np.linspace(float(parts[1]), float(parts[2]), epochs)
-    try:
-        values = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        raise _UsageError(f"{flag} expects 'linear:a:b' or a comma list, got {text!r}") from None
-    if values.shape != (epochs,):
-        raise _UsageError(f"{flag} lists {values.size} values, expected {epochs}")
-    return values
-
-
 # ------------------------------------------------------------- labelspace
 
-def _cmd_labelspace_build(args) -> None:
-    out = _out_dir(args)
+def _cmd_labelspace_build(args, out: Path) -> None:
     h = parse_hierarchy(args.hierarchy, args.classes)
     space, _ = build_labelspace(h, parse_grouping(args.groups), name=args.name)
     write_labelspace(space, out / f"{_safe_name(space.name)}.tsv")
-    _manifest(out, "labelspace build", None,
-              {"hierarchy": args.hierarchy, "classes": args.classes,
-               "groups": args.groups},
-              {"name": args.name})
 
 
-def _cmd_labelspace_random(args) -> None:
-    out = _out_dir(args)
+def _cmd_labelspace_random(args, out: Path) -> None:
     base = read_labelspace(args.labelspace)
     space, _ = random_isomorphic(base, args.seed)
     write_labelspace(space, out / f"{_safe_name(space.name)}.tsv")
-    _manifest(out, "labelspace random", args.seed,
-              {"labelspace": args.labelspace}, {})
 
 
 # ---------------------------------------------------------------- metrics
@@ -133,8 +114,7 @@ def _curve_spaces(args, log):
     return entries
 
 
-def _cmd_metrics_curves(args) -> None:
-    out = _out_dir(args)
+def _cmd_metrics_curves(args, out: Path) -> None:
     log = read_predictions(args.log)
     for tag, space, plog in _curve_spaces(args, log):
         a = accuracy_series(plog)
@@ -142,13 +122,9 @@ def _cmd_metrics_curves(args) -> None:
         write_table(relative_accuracy(a), out / f"{tag}_relative.csv")
         write_table(relative_gain(a, baseline(space)), out / f"{tag}_gain.csv")
         write_table(residual_error(a), out / f"{tag}_residual.csv")
-    _manifest(out, "metrics curves", args.seed,
-              {"log": args.log, "labelspace": args.labelspace or ""},
-              {"random_iso": bool(args.random_iso)})
 
 
-def _cmd_metrics_converge(args) -> None:
-    out = _out_dir(args)
+def _cmd_metrics_converge(args, out: Path) -> None:
     log = read_predictions(args.log)
     rows = [(tag, convergence_epoch(accuracy_series(plog), args.fraction))
             for tag, _, plog in _curve_spaces(args, log)]
@@ -156,22 +132,15 @@ def _cmd_metrics_converge(args) -> None:
         fh.write("space,epoch\n")
         for tag, epoch in rows:
             fh.write(f"{tag},{epoch}\n")
-    _manifest(out, "metrics converge", args.seed,
-              {"log": args.log, "labelspace": args.labelspace or ""},
-              {"random_iso": bool(args.random_iso), "fraction": args.fraction})
 
 
-def _cmd_metrics_confusion(args) -> None:
-    out = _out_dir(args)
+def _cmd_metrics_confusion(args, out: Path) -> None:
     log = read_predictions(args.log)
     if args.labelspace:
         space = read_labelspace(args.labelspace)
         log = project_log(log, space)
     cm = confusion_matrix(log.at_epoch(args.epoch), order=range(log.label_count))
     write_table(cm, out / "confusion.csv")
-    _manifest(out, "metrics confusion", None,
-              {"log": args.log, "labelspace": args.labelspace or ""},
-              {"epoch": args.epoch})
 
 
 # --------------------------------------------------------------- manifold
@@ -181,24 +150,15 @@ def _cover_config(args) -> CoverConfig:
                        seed=args.seed, method=args.method)
 
 
-def _cover_options(args) -> dict:
-    return {"k": args.k, "r_max": args.r_max, "grid_points": args.grid_points,
-            "method": args.method}
-
-
-def _cmd_manifold_cover(args) -> None:
-    out = _out_dir(args)
+def _cmd_manifold_cover(args, out: Path) -> None:
     f = read_features(args.features)
     cfg = _cover_config(args)
     query, support = split_query_support(f, cfg)
     sim = cover_similarity(query, support, cfg)
     write_table(sim, out / "cover.csv")
-    _manifest(out, "manifold cover", args.seed, {"features": args.features},
-              _cover_options(args))
 
 
-def _cmd_manifold_ccc(args) -> None:
-    out = _out_dir(args)
+def _cmd_manifold_ccc(args, out: Path) -> None:
     f = read_features(args.features)
     h = parse_hierarchy(args.hierarchy, args.classes)
     cfg = _cover_config(args)
@@ -207,21 +167,14 @@ def _cmd_manifold_ccc(args) -> None:
     d_features = to_distance_matrix(sim)
     d_graph = graph_distance_matrix(h, classes=d_features.labels)
     value = ccc(d_features, d_graph)
-    with open(out / "ccc.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps({"ccc": value, "classes": len(d_features.labels),
-                             "r_max": sim.r_max}, indent=2))
-        fh.write("\n")
+    write_json({"ccc": value, "classes": len(d_features.labels), "r_max": sim.r_max},
+               out / "ccc.json")
     print(f"ccc {value:.6f}")
-    _manifest(out, "manifold ccc", args.seed,
-              {"features": args.features, "hierarchy": args.hierarchy,
-               "classes": args.classes},
-              _cover_options(args))
 
 
 # --------------------------------------------------------------------- nc
 
-def _cmd_nc_compute(args) -> None:
-    out = _out_dir(args)
+def _cmd_nc_compute(args, out: Path) -> None:
     f = read_features(args.features)
     head = read_head(args.head)
     stats = class_statistics(f)
@@ -232,15 +185,11 @@ def _cmd_nc_compute(args) -> None:
         lifted_stats, lifted_head = lift_to_superclass(stats, head, space)
         lifted = nc_report(f, lifted_head, space.name, stats=lifted_stats)
         write_table(lifted, out / f"nc_{_safe_name(space.name)}.json", fmt="json")
-    _manifest(out, "nc compute", None,
-              {"features": args.features, "head": args.head,
-               "labelspace": args.labelspace or ""}, {})
 
 
 # ------------------------------------------------------------------ synth
 
-def _cmd_synth_features(args) -> None:
-    out = _out_dir(args)
+def _cmd_synth_features(args, out: Path) -> None:
     h = parse_hierarchy(args.hierarchy, args.classes)
     space = read_labelspace(args.labelspace)
     if args.config:
@@ -249,53 +198,38 @@ def _cmd_synth_features(args) -> None:
         params = default_trajectory_params(seed=args.seed)
     for f in gen_hierarchical_trajectory(h, space, params):
         write_features(f, out / f"features_e{f.epoch:03d}.bin")
-    _manifest(out, "synth features", args.seed,
-              {"hierarchy": args.hierarchy, "classes": args.classes,
-               "labelspace": args.labelspace, "config": args.config or ""}, {})
 
 
-def _cmd_synth_predictions(args) -> None:
-    out = _out_dir(args)
+def _cmd_synth_predictions(args, out: Path) -> None:
     h = parse_hierarchy(args.hierarchy, args.classes)
     space = read_labelspace(args.labelspace)
-    acc = _parse_schedule(args.accuracy, args.epochs, "--accuracy")
-    within = _parse_schedule(args.within, args.epochs, "--within")
+    try:
+        acc = parse_schedule(args.accuracy, args.epochs, "--accuracy")
+        within = parse_schedule(args.within, args.epochs, "--within")
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
     log = gen_prediction_trajectory(h, space, args.epochs, acc, within,
                                     args.examples, args.seed)
     write_predictions(log, out / "predictions.csv")
-    _manifest(out, "synth predictions", args.seed,
-              {"hierarchy": args.hierarchy, "classes": args.classes,
-               "labelspace": args.labelspace},
-              {"epochs": args.epochs, "examples": args.examples,
-               "accuracy": args.accuracy, "within": args.within})
 
 
-def _cmd_synth_etf(args) -> None:
-    out = _out_dir(args)
+def _cmd_synth_etf(args, out: Path) -> None:
     frame = gen_etf(args.class_count, args.dim, scale=args.scale)
     f = FeatureSet(vectors=frame, labels=np.arange(args.class_count),
                    class_count=args.class_count)
     write_features(f, out / "etf.bin")
-    _manifest(out, "synth etf", None, {},
-              {"class_count": args.class_count, "dim": args.dim,
-               "scale": args.scale})
 
 
 # ----------------------------------------------------------------- oracle
 
-def _cmd_oracle_superclass_acc(args) -> None:
-    out = _out_dir(args)
+def _cmd_oracle_superclass_acc(args, out: Path) -> None:
     sizes = _parse_sizes(args.sizes)
     analytic = theoretical_superclass_accuracy(args.p, _space_from_sizes(sizes))
     estimate, stderr = mc_superclass_accuracy(args.p, sizes, args.trials, args.seed)
     print(f"analytic {analytic:.6f}")
     print(f"monte-carlo {estimate:.6f} (stderr {stderr:.6f}, {args.trials} trials)")
-    with open(out / "oracle.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps({"analytic": analytic, "monte_carlo": estimate,
-                             "stderr": stderr, "trials": args.trials}, indent=2))
-        fh.write("\n")
-    _manifest(out, "oracle superclass-acc", args.seed,
-              {}, {"p": args.p, "sizes": args.sizes, "trials": args.trials})
+    write_json({"analytic": analytic, "monte_carlo": estimate, "stderr": stderr,
+                "trials": args.trials}, out / "oracle.json")
 
 
 # ----------------------------------------------------------------- parser
@@ -433,7 +367,10 @@ def run(argv=None) -> int:
         code = e.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     try:
-        args.func(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(args, out)
+        write_json(_manifest(args), out / "run.json")
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -22,6 +23,7 @@ __all__ = [
     "dfs_leaf_order",
     "graph_distance_matrix",
     "hypernym_of",
+    "iter_lines",
     "parse_hierarchy",
 ]
 
@@ -82,22 +84,20 @@ class Hierarchy:
         return [n for n in self.nodes if not self.parents.get(n)]
 
 
-def _lines(source, default_name: str) -> Iterator[tuple[str, int, str]]:
-    """Yield (source_name, line_number, content) skipping blanks and # comments."""
-    if isinstance(source, (str, bytes, os.PathLike)):
-        name = str(source)
-        with open(source, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                yield name, lineno, line
-    else:
-        for lineno, raw in enumerate(source, start=1):
+def iter_lines(source, default_name: str) -> Iterator[tuple[str, int, str]]:
+    """Yield (source_name, line_number, content), skipping blanks and # comments.
+
+    ``source`` is a path, named by itself in the yielded tuples, or an
+    iterable of lines, named ``default_name``.
+    """
+    is_path = isinstance(source, (str, bytes, os.PathLike))
+    name = str(source) if is_path else default_name
+    with open(source, "r", encoding="utf-8") if is_path else nullcontext(source) as fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            yield default_name, lineno, line
+            yield name, lineno, line
 
 
 def parse_hierarchy(edges, classes) -> Hierarchy:
@@ -126,7 +126,7 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
             node_set.add(n)
             nodes.append(n)
 
-    for name, lineno, line in _lines(edges, "<edges>"):
+    for name, lineno, line in iter_lines(edges, "<edges>"):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ValueError(f"{name}:{lineno}: expected 'parent<TAB>child', got {line!r}")
@@ -143,7 +143,7 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
 
     class_map: dict[int, str] = {}
     node_to_class: dict[str, int] = {}
-    for name, lineno, line in _lines(classes, "<classes>"):
+    for name, lineno, line in iter_lines(classes, "<classes>"):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[1]:
             raise ValueError(f"{name}:{lineno}: expected 'index<TAB>node_id', got {line!r}")

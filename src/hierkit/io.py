@@ -29,6 +29,7 @@ __all__ = [
     "write_distance_matrix",
     "write_features",
     "write_head",
+    "write_json",
     "write_predictions",
     "write_table",
 ]
@@ -202,10 +203,17 @@ def read_distance_matrix(path) -> DistanceMatrix:
             parts = line.rstrip("\n").split(",")
             if len(parts) != len(labels) + 1:
                 raise ValueError(f"{path}:{lineno}: expected {len(labels) + 1} fields")
-            if int(parts[0]) != labels[lineno - 2]:
+            if lineno - 2 >= len(labels):
+                raise ValueError(f"{path}:{lineno}: extra row, the header has "
+                                 f"{len(labels)} labels")
+            try:
+                row_label = int(parts[0])
+                rows.append(np.array(parts[1:], dtype=np.float64))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed numeric field") from None
+            if row_label != labels[lineno - 2]:
                 raise ValueError(f"{path}:{lineno}: row label {parts[0]} does not match "
                                  f"header label {labels[lineno - 2]}")
-            rows.append(np.array(parts[1:], dtype=np.float64))
         if len(rows) != len(labels):
             raise ValueError(f"{path}: expected {len(labels)} rows, got {len(rows)}")
         return DistanceMatrix(labels=labels, values=np.vstack(rows))
@@ -321,7 +329,7 @@ def write_table(obj, path, fmt: str = "csv") -> None:
             payload = {"series": [{"epoch": int(e), "value": float(v)}
                                   for e, v in zip(obj.epochs, obj.values)],
                        "scale": obj.scale}
-            _write_json(payload, path)
+            write_json(payload, path)
         else:
             raise ValueError(f"unknown table format {fmt!r}")
     elif isinstance(obj, (DistanceMatrix, SimilarityMatrix)):
@@ -330,8 +338,8 @@ def write_table(obj, path, fmt: str = "csv") -> None:
         elif fmt == "binary":
             write_distance_matrix(obj, path, fmt="binary")
         elif fmt == "json":
-            _write_json({"labels": list(obj.labels),
-                         "values": [[float(v) for v in row] for row in obj.values]}, path)
+            write_json({"labels": list(obj.labels),
+                        "values": [[float(v) for v in row] for row in obj.values]}, path)
         else:
             raise ValueError(f"unknown table format {fmt!r}")
     elif isinstance(obj, ConfusionMatrix):
@@ -348,12 +356,13 @@ def write_table(obj, path, fmt: str = "csv") -> None:
                    "alpha_mu": obj.alpha_mu, "alpha_w": obj.alpha_w, "nc3": obj.nc3,
                    "nc4": obj.nc4_mismatch, "label_space": obj.label_space_name,
                    "degenerate_flags": list(obj.degenerate_flags)}
-        _write_json(payload, path)
+        write_json(payload, path)
     else:
         raise ValueError(f"cannot write object of type {type(obj).__name__}")
 
 
-def _write_json(payload, path) -> None:
+def write_json(payload, path) -> None:
+    """Write ``payload`` as 2-space-indented JSON with a trailing newline."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(payload, indent=2))
         fh.write("\n")

@@ -8,11 +8,12 @@ drawn uniformly at random.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import Hierarchy, hypernym_of
+from .hierarchy import Hierarchy, hypernym_of, iter_lines
 from .metrics import PredictionLog
 from .rng import substream
 
@@ -68,11 +69,9 @@ class LabelSpace:
 
 def parse_grouping(source) -> list[tuple[str, list[str]]]:
     """Parse a grouping file: one `superclass_name<TAB>node_id[,node_id...]` per line."""
-    from .hierarchy import _lines
-
     groups: list[tuple[str, list[str]]] = []
     seen: set[str] = set()
-    for name, lineno, line in _lines(source, "<grouping>"):
+    for name, lineno, line in iter_lines(source, "<grouping>"):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ValueError(f"{name}:{lineno}: expected 'superclass_name<TAB>node_id[,...]', "
@@ -195,16 +194,11 @@ def read_labelspace(path) -> LabelSpace:
     The dump stores only indices, so superclass names are synthesized as
     s0..s{k-1} and the space is named after the file.
     """
-    import os
-
-    from .hierarchy import _lines
-
     pairs: dict[int, int] = {}
-    for name, lineno, line in _lines(path, "<labelspace>"):
-        parts = line.split("\t")
+    for name, lineno, line in iter_lines(path, "<labelspace>"):
         try:
-            ci, si = int(parts[0]), int(parts[1])
-        except (ValueError, IndexError):
+            ci, si = map(int, line.split("\t"))
+        except ValueError:
             raise ValueError(f"{name}:{lineno}: expected 'class_index<TAB>superclass_index', "
                              f"got {line!r}") from None
         if ci in pairs:

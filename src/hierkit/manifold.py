@@ -23,10 +23,8 @@ __all__ = [
     "FeatureSet",
     "SimilarityMatrix",
     "ccc",
-    "class_mean_distances",
     "cover_similarity",
     "cover_stats",
-    "direct_correlation",
     "split_query_support",
     "to_distance_matrix",
 ]
@@ -210,16 +208,6 @@ def to_distance_matrix(a: SimilarityMatrix) -> DistanceMatrix:
     return DistanceMatrix(labels=list(a.labels), values=np.maximum(d, 0.0))
 
 
-def class_mean_distances(f: FeatureSet) -> DistanceMatrix:
-    """Euclidean distances between per-class mean vectors."""
-    classes = f.present_classes()
-    means = np.empty((classes.size, f.dimension))
-    vec = f.vectors.astype(np.float64, copy=False)
-    for i, c in enumerate(classes):
-        means[i] = vec[f.labels == c].mean(axis=0)
-    return DistanceMatrix(labels=list(classes), values=cdist(means, means))
-
-
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     xm = x - x.mean()
     ym = y - y.mean()
@@ -245,44 +233,6 @@ def ccc(d1: DistanceMatrix, d2: DistanceMatrix) -> float:
         raise ValueError("ccc needs at least 2 classes")
     iu = np.triu_indices(n, k=1)
     return _pearson(d1.values[iu], d2.values[iu])
-
-
-def direct_correlation(query: FeatureSet, support: FeatureSet, d_w: DistanceMatrix,
-                       sample: int, seed: int) -> float:
-    """Pearson correlation of sampled cross-class example distances vs d_w.
-
-    Samples ``sample`` (query, support) example pairs with different class
-    labels and correlates their Euclidean distance with the taxonomy distance
-    of their classes; this skips materializing a class-level distance matrix.
-    """
-    sample = int(sample)
-    if sample < 2:
-        raise ValueError("sample must be >= 2")
-    pos = {int(lbl): i for i, lbl in enumerate(d_w.labels)}
-    for arr in (query.labels, support.labels):
-        missing = set(int(x) for x in np.unique(arr)) - set(pos)
-        if missing:
-            raise ValueError(f"classes {sorted(missing)} missing from the distance matrix")
-    rng = substream(seed, 0)
-    qi_parts: list[np.ndarray] = []
-    si_parts: list[np.ndarray] = []
-    have = 0
-    while have < sample:
-        m = int((sample - have) * 1.3) + 16
-        qi = rng.integers(0, len(query), m)
-        si = rng.integers(0, len(support), m)
-        keep = query.labels[qi] != support.labels[si]
-        qi_parts.append(qi[keep])
-        si_parts.append(si[keep])
-        have += int(keep.sum())
-    qi = np.concatenate(qi_parts)[:sample]
-    si = np.concatenate(si_parts)[:sample]
-    diffs = query.vectors[qi].astype(np.float64) - support.vectors[si].astype(np.float64)
-    x = np.linalg.norm(diffs, axis=1)
-    row = np.array([pos[int(c)] for c in query.labels[qi]])
-    col = np.array([pos[int(c)] for c in support.labels[si]])
-    y = d_w.values[row, col]
-    return _pearson(x, y)
 
 
 def cover_stats(a: SimilarityMatrix) -> tuple[float, float]:

@@ -10,12 +10,12 @@ oracle for the random-superclass accuracy formula.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .collapse import class_statistics, nearest_mean_labels
-from .hierarchy import Hierarchy
+from .hierarchy import Hierarchy, iter_lines
 from .labelspace import LabelSpace
 from .manifold import FeatureSet
 from .metrics import PredictionLog
@@ -29,6 +29,7 @@ __all__ = [
     "gen_prediction_trajectory",
     "mc_superclass_accuracy",
     "ncc_prediction_log",
+    "parse_schedule",
     "parse_trajectory_config",
 ]
 
@@ -296,6 +297,28 @@ def ncc_prediction_log(feature_sets) -> PredictionLog:
                          label_count=c)
 
 
+def parse_schedule(text: str, epochs: int, what: str) -> np.ndarray:
+    """Parse a per-epoch schedule: `linear:a:b` or a comma-separated list.
+
+    `linear:a:b` is a linear ramp from a to b over ``epochs`` values; a list
+    must have exactly ``epochs`` entries.  ``what`` names the flag or config
+    key in error messages.
+    """
+    linear = text.startswith("linear:")
+    fields = text[len("linear:"):].split(":") if linear else text.split(",")
+    try:
+        values = [float(v) for v in fields]
+        if linear:
+            start, stop = values
+    except ValueError:
+        raise ValueError(f"{what} expects 'linear:a:b' or a comma list, got {text!r}") from None
+    if linear:
+        return np.linspace(start, stop, epochs)
+    if len(values) != epochs:
+        raise ValueError(f"{what} lists {len(values)} values, expected {epochs}")
+    return np.array(values)
+
+
 def parse_trajectory_config(source, seed: int | None = None) -> TrajectoryParams:
     """Read TrajectoryParams from a key=value text file.
 
@@ -305,10 +328,8 @@ def parse_trajectory_config(source, seed: int | None = None) -> TrajectoryParams
     linear ramp from a to b.  Missing keys fall back to the defaults of
     :func:`default_trajectory_params`.  ``seed`` overrides the file's value.
     """
-    from .hierarchy import _lines
-
     raw: dict[str, str] = {}
-    for name, lineno, line in _lines(source, "<config>"):
+    for name, lineno, line in iter_lines(source, "<config>"):
         if "=" not in line:
             raise ValueError(f"{name}:{lineno}: expected 'key=value', got {line!r}")
         key, _, value = line.partition("=")
@@ -339,29 +360,8 @@ def parse_trajectory_config(source, seed: int | None = None) -> TrajectoryParams
         seed=get_int("seed", 0) if seed is None else int(seed),
     )
 
-    def get_schedule(key: str, default: np.ndarray) -> np.ndarray:
-        if key not in raw:
-            return default
-        text = raw[key]
-        if text.startswith("linear:"):
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError(f"config key {key!r}: expected 'linear:a:b', got {text!r}")
-            a, b = float(parts[1]), float(parts[2])
-            return np.linspace(a, b, epochs)
-        values = np.array([float(v) for v in text.split(",")])
-        if values.shape != (epochs,):
-            raise ValueError(f"config key {key!r} lists {values.size} values, "
-                             f"expected {epochs}")
-        return values
-
-    return TrajectoryParams(
-        epochs=epochs, dimension=base.dimension,
-        examples_per_class=base.examples_per_class,
-        hypernym_gap_schedule=get_schedule("hypernym_gap_schedule",
-                                           base.hypernym_gap_schedule),
-        hyponym_gap_schedule=get_schedule("hyponym_gap_schedule",
-                                          base.hyponym_gap_schedule),
-        noise_schedule=get_schedule("noise_schedule", base.noise_schedule),
-        seed=base.seed,
-    )
+    schedules = {key: parse_schedule(raw[key], epochs, f"config key {key!r}")
+                 for key in ("hypernym_gap_schedule", "hyponym_gap_schedule",
+                             "noise_schedule")
+                 if key in raw}
+    return replace(base, **schedules)

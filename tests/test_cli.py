@@ -195,6 +195,18 @@ class TestNc:
         assert lifted["label_space"] == "hypernyms"
 
 
+class TestSynthPredictions:
+    def test_non_numeric_schedule_is_usage_error(self, tax, spacefile, tmp_path, capsys):
+        edges, classes, _ = tax
+        assert run(["synth", "predictions", "--hierarchy", str(edges),
+                    "--classes", str(classes), "--labelspace", str(spacefile),
+                    "--epochs", "3", "--examples", "12",
+                    "--accuracy", "linear:a:0.5", "--within", "0.5,0.5,0.5",
+                    "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+        assert "--accuracy expects 'linear:a:b' or a comma list, got 'linear:a:0.5'" \
+            in capsys.readouterr().err
+
+
 class TestSynthEtf:
     def test_frame_written(self, tmp_path):
         out = tmp_path / "etf"
@@ -255,3 +267,268 @@ class TestPlumbing:
         # fixed key set, no timestamps: reruns must be byte-identical
         assert set(manifest) == {"command", "version", "seed", "inputs", "options"}
         assert manifest["version"] == hierkit.__version__
+
+
+# Every subcommand's run.json, byte for byte.  Inputs are given as paths
+# relative to the working directory so the manifests carry no temp paths.
+GOLDEN_MANIFESTS = [
+    ("labelspace build --hierarchy edges.tsv --classes classes.tsv --groups groups.tsv",
+     """\
+{
+  "command": "labelspace build",
+  "version": "@VERSION@",
+  "seed": null,
+  "inputs": {
+    "hierarchy": "edges.tsv",
+    "classes": "classes.tsv",
+    "groups": "groups.tsv"
+  },
+  "options": {
+    "name": "hypernyms"
+  }
+}
+"""),
+    ("labelspace random --labelspace ls/hypernyms.tsv --seed 4",
+     """\
+{
+  "command": "labelspace random",
+  "version": "@VERSION@",
+  "seed": 4,
+  "inputs": {
+    "labelspace": "ls/hypernyms.tsv"
+  },
+  "options": {}
+}
+"""),
+    ("metrics curves --log preds/predictions.csv",
+     """\
+{
+  "command": "metrics curves",
+  "version": "@VERSION@",
+  "seed": null,
+  "inputs": {
+    "log": "preds/predictions.csv",
+    "labelspace": ""
+  },
+  "options": {
+    "random_iso": false
+  }
+}
+"""),
+    ("metrics curves --log preds/predictions.csv --labelspace ls/hypernyms.tsv --random-iso --seed 5",
+     """\
+{
+  "command": "metrics curves",
+  "version": "@VERSION@",
+  "seed": 5,
+  "inputs": {
+    "log": "preds/predictions.csv",
+    "labelspace": "ls/hypernyms.tsv"
+  },
+  "options": {
+    "random_iso": true
+  }
+}
+"""),
+    ("metrics converge --log preds/predictions.csv --labelspace ls/hypernyms.tsv --fraction 0.9",
+     """\
+{
+  "command": "metrics converge",
+  "version": "@VERSION@",
+  "seed": null,
+  "inputs": {
+    "log": "preds/predictions.csv",
+    "labelspace": "ls/hypernyms.tsv"
+  },
+  "options": {
+    "random_iso": false,
+    "fraction": 0.9
+  }
+}
+"""),
+    ("metrics confusion --log preds/predictions.csv --epoch 2",
+     """\
+{
+  "command": "metrics confusion",
+  "version": "@VERSION@",
+  "seed": null,
+  "inputs": {
+    "log": "preds/predictions.csv",
+    "labelspace": ""
+  },
+  "options": {
+    "epoch": 2
+  }
+}
+"""),
+    ("manifold cover --features feats/features_e002.bin --k 2 --seed 0",
+     """\
+{
+  "command": "manifold cover",
+  "version": "@VERSION@",
+  "seed": 0,
+  "inputs": {
+    "features": "feats/features_e002.bin"
+  },
+  "options": {
+    "k": 2,
+    "r_max": null,
+    "grid_points": 200,
+    "method": "grid"
+  }
+}
+"""),
+    ("manifold cover --features feats/features_e002.bin --k 2 --r-max 1.5 --grid-points 50 --method exact --seed 7",
+     """\
+{
+  "command": "manifold cover",
+  "version": "@VERSION@",
+  "seed": 7,
+  "inputs": {
+    "features": "feats/features_e002.bin"
+  },
+  "options": {
+    "k": 2,
+    "r_max": 1.5,
+    "grid_points": 50,
+    "method": "exact"
+  }
+}
+"""),
+    ("manifold ccc --features feats/features_e002.bin --hierarchy edges.tsv --classes classes.tsv --k 2 --seed 0",
+     """\
+{
+  "command": "manifold ccc",
+  "version": "@VERSION@",
+  "seed": 0,
+  "inputs": {
+    "features": "feats/features_e002.bin",
+    "hierarchy": "edges.tsv",
+    "classes": "classes.tsv"
+  },
+  "options": {
+    "k": 2,
+    "r_max": null,
+    "grid_points": 200,
+    "method": "grid"
+  }
+}
+"""),
+    ("nc compute --features feats/features_e002.bin --head head.bin",
+     """\
+{
+  "command": "nc compute",
+  "version": "@VERSION@",
+  "seed": null,
+  "inputs": {
+    "features": "feats/features_e002.bin",
+    "head": "head.bin",
+    "labelspace": ""
+  },
+  "options": {}
+}
+"""),
+    ("synth features --hierarchy edges.tsv --classes classes.tsv --labelspace ls/hypernyms.tsv --seed 3",
+     """\
+{
+  "command": "synth features",
+  "version": "@VERSION@",
+  "seed": 3,
+  "inputs": {
+    "hierarchy": "edges.tsv",
+    "classes": "classes.tsv",
+    "labelspace": "ls/hypernyms.tsv",
+    "config": ""
+  },
+  "options": {}
+}
+"""),
+    ("synth features --hierarchy edges.tsv --classes classes.tsv --labelspace ls/hypernyms.tsv --config traj.cfg --seed 2",
+     """\
+{
+  "command": "synth features",
+  "version": "@VERSION@",
+  "seed": 2,
+  "inputs": {
+    "hierarchy": "edges.tsv",
+    "classes": "classes.tsv",
+    "labelspace": "ls/hypernyms.tsv",
+    "config": "traj.cfg"
+  },
+  "options": {}
+}
+"""),
+    ("synth predictions --hierarchy edges.tsv --classes classes.tsv --labelspace ls/hypernyms.tsv --epochs 3 --examples 12 --accuracy linear:0.3:0.9 --within 0.5,0.5,0.5 --seed 1",
+     """\
+{
+  "command": "synth predictions",
+  "version": "@VERSION@",
+  "seed": 1,
+  "inputs": {
+    "hierarchy": "edges.tsv",
+    "classes": "classes.tsv",
+    "labelspace": "ls/hypernyms.tsv"
+  },
+  "options": {
+    "epochs": 3,
+    "examples": 12,
+    "accuracy": "linear:0.3:0.9",
+    "within": "0.5,0.5,0.5"
+  }
+}
+"""),
+    ("synth etf --class-count 4 --dim 6",
+     """\
+{
+  "command": "synth etf",
+  "version": "@VERSION@",
+  "seed": null,
+  "inputs": {},
+  "options": {
+    "class_count": 4,
+    "dim": 6,
+    "scale": 1.0
+  }
+}
+"""),
+    ("oracle superclass-acc --p 0.5 --sizes 3,3 --trials 100",
+     """\
+{
+  "command": "oracle superclass-acc",
+  "version": "@VERSION@",
+  "seed": 0,
+  "inputs": {},
+  "options": {
+    "p": 0.5,
+    "sizes": "3,3",
+    "trials": 100
+  }
+}
+"""),
+]
+
+
+@pytest.fixture
+def golden_inputs(tax, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    tax_flags = ["--hierarchy", "edges.tsv", "--classes", "classes.tsv"]
+    assert run(["labelspace", "build", *tax_flags, "--groups", "groups.tsv",
+                "--out", "ls"]) == 0
+    assert run(["synth", "predictions", *tax_flags, "--labelspace", "ls/hypernyms.tsv",
+                "--epochs", "3", "--examples", "12", "--accuracy", "linear:0.3:0.9",
+                "--within", "0.5,0.5,0.5", "--seed", "1", "--out", "preds"]) == 0
+    (tmp_path / "traj.cfg").write_text("epochs=3\ndimension=10\nexamples_per_class=6\n")
+    assert run(["synth", "features", *tax_flags, "--labelspace", "ls/hypernyms.tsv",
+                "--config", "traj.cfg", "--seed", "2", "--out", "feats"]) == 0
+    write_head(ClassifierHead(weights=np.ones((6, 10)), bias=np.zeros(6)), "head.bin")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_MANIFESTS,
+                         ids=[" ".join(a.split()[:2]) for a, _ in GOLDEN_MANIFESTS])
+def test_golden_manifest(golden_inputs, argv, expected):
+    import hierkit
+
+    assert run(argv.split() + ["--out", "case"]) == 0
+    expected = expected.replace("@VERSION@", hierkit.__version__)
+    assert (golden_inputs / "case" / "run.json").read_bytes() == expected.encode("utf-8")

@@ -177,6 +177,18 @@ class TestDistanceMatrixIO:
         with pytest.raises(ValueError, match="expected 2 rows, got 1"):
             read_distance_matrix(path)
 
+    def test_csv_extra_row_names_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(",0,1\n0,0,1\n1,1,0\n1,1,0\n")
+        with pytest.raises(ValueError, match=r"d\.csv:4: extra row"):
+            read_distance_matrix(path)
+
+    def test_csv_non_integer_row_label_names_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(",0,1\n0,0,1\nx,1,0\n")
+        with pytest.raises(ValueError, match=r"d\.csv:3: malformed numeric field"):
+            read_distance_matrix(path)
+
     def test_truncation(self, tmp_path):
         path = tmp_path / "d.bin"
         write_distance_matrix(self._mat(), path)

@@ -179,3 +179,10 @@ class TestLabelspaceFiles:
         p.write_text("0\t0\n2\t1\n")
         with pytest.raises(ValueError):
             read_labelspace(p)
+
+    def test_extra_field_rejected(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_text("0\t0\tjunk\n1\t0\n")
+        with pytest.raises(ValueError,
+                           match="bad.tsv:1: expected 'class_index<TAB>superclass_index'"):
+            read_labelspace(p)

@@ -3,8 +3,7 @@ import pytest
 
 from hierkit.hierarchy import DistanceMatrix
 from hierkit.manifold import (CoverConfig, FeatureSet, SimilarityMatrix, ccc,
-                              class_mean_distances, cover_similarity,
-                              cover_stats, direct_correlation,
+                              cover_similarity, cover_stats,
                               split_query_support, to_distance_matrix)
 
 
@@ -130,21 +129,6 @@ class TestToDistanceMatrix:
         assert (np.diagonal(d.values) == 0.0).all()
 
 
-class TestClassMeanDistances:
-    def test_point_masses(self):
-        f = FeatureSet(np.array([[0.0], [3.0]]), np.array([0, 1]), 2)
-        assert class_mean_distances(f).values[0, 1] == 3.0
-
-    def test_line_of_means(self):
-        f = FeatureSet(np.array([[0.0], [1.0], [2.0]]), np.array([0, 1, 2]), 3)
-        expected = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
-        np.testing.assert_allclose(class_mean_distances(f).values, expected)
-
-    def test_coinciding_distributions(self):
-        f = FeatureSet(np.array([[1.0], [1.0]]), np.array([0, 1]), 2)
-        assert class_mean_distances(f).values[0, 1] == 0.0
-
-
 class TestCcc:
     def _d(self, values):
         return DistanceMatrix(labels=list(range(values.shape[0])), values=values)
@@ -188,44 +172,6 @@ class TestCcc:
         d2 = DistanceMatrix(labels=[1, 0], values=a)
         with pytest.raises(ValueError, match="label"):
             ccc(d1, d2)
-
-
-class TestDirectCorrelation:
-    def test_exact_proportionality(self):
-        pts = np.array([[0.0], [1.0], [2.0]])
-        f = FeatureSet(pts, np.array([0, 1, 2]), 3)
-        d_w = DistanceMatrix(labels=[0, 1, 2],
-                             values=np.abs(np.subtract.outer([0.0, 1, 2], [0.0, 1, 2])))
-        assert direct_correlation(f, f, d_w, sample=500, seed=4) == 1.0
-
-    def test_shuffled_taxonomy_uncorrelated(self):
-        rng = np.random.default_rng(11)
-        means = np.arange(6, dtype=float)[:, None] * 10
-        labels = np.repeat(np.arange(6), 30)
-        f = FeatureSet(means[labels] + 0.01 * rng.standard_normal((180, 1)), labels, 6)
-        true_d = np.abs(np.subtract.outer(means[:, 0], means[:, 0]))
-        iu = np.triu_indices(6, k=1)
-        vals = true_d[iu]
-        shuffled = np.zeros((6, 6))
-        perm = rng.permutation(vals.size)
-        shuffled[iu] = vals[perm]
-        shuffled += shuffled.T
-        d_w = DistanceMatrix(labels=list(range(6)), values=shuffled)
-        corr = direct_correlation(f, f, d_w, sample=10_000, seed=12)
-        assert abs(corr) < 0.3
-
-    def test_constant_taxonomy_rejected(self):
-        f = FeatureSet(np.array([[0.0], [1.0]]), np.array([0, 1]), 2)
-        d_w = DistanceMatrix(labels=[0, 1], values=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        # single cross-class pair: feature distances constant
-        with pytest.raises(ValueError, match="zero variance"):
-            direct_correlation(f, f, d_w, sample=100, seed=0)
-
-    def test_missing_class_rejected(self):
-        f = FeatureSet(np.array([[0.0], [1.0]]), np.array([0, 1]), 2)
-        d_w = DistanceMatrix(labels=[0], values=np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="missing"):
-            direct_correlation(f, f, d_w, sample=10, seed=0)
 
 
 class TestCoverStats:

@@ -285,6 +285,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="linear:a:b"):
             parse_trajectory_config(["epochs=3", "noise_schedule=linear:1"])
 
+    def test_non_numeric_schedule_names_key(self):
+        with pytest.raises(ValueError, match="config key 'noise_schedule' expects 'linear:a:b'"):
+            parse_trajectory_config(["epochs=2", "noise_schedule=1,x"])
+
     def test_seed_override(self):
         params = parse_trajectory_config(["epochs=2", "seed=3"], seed=7)
         assert params.seed == 7
