@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .manifold import FeatureSet
+from .manifold import FeatureSet, min_sq_distance_blocks
 
 if TYPE_CHECKING:
     from .labelspace import LabelSpace
@@ -208,9 +207,11 @@ def nearest_mean_labels(f: FeatureSet, stats: Optional[ClassStats] = None) -> np
     """Nearest-class-centroid labels; ties go to the lower class index."""
     if stats is None:
         stats = class_statistics(f)
-    d2 = cdist(f.vectors.astype(np.float64, copy=False), stats.class_means,
-               metric="sqeuclidean")
-    return np.argmin(d2, axis=1)
+    labels = np.empty(len(f), dtype=np.intp)
+    starts = np.arange(stats.class_count)
+    for lo, block in min_sq_distance_blocks(f.vectors, stats.class_means, starts):
+        labels[lo:lo + len(block)] = np.argmin(block, axis=1)
+    return labels
 
 
 def nc4_mismatch(f: FeatureSet, stats: ClassStats, head: ClassifierHead) -> float:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 __all__ = [
     "DistanceMatrix",
@@ -228,30 +230,18 @@ def graph_distance_matrix(h: Hierarchy, classes: Iterable[int] | None = None) ->
             raise ValueError(f"class {cc} does not exist in the hierarchy")
 
     index = {n: i for i, n in enumerate(h.nodes)}
-    nbrs: list[list[int]] = [[] for _ in h.nodes]
-    for parent, child in h.edges:
-        pi, ci = index[parent], index[child]
-        nbrs[pi].append(ci)
-        nbrs[ci].append(pi)
-
-    class_pos = {index[h.class_index[cc]]: j for j, cc in enumerate(labels)}
-    n = len(labels)
-    values = np.zeros((n, n), dtype=np.float64)
-    for i, cc in enumerate(labels):
-        src = index[h.class_index[cc]]
-        dist = np.full(len(h.nodes), -1, dtype=np.int64)
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in nbrs[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for node_i, j in class_pos.items():
-            if dist[node_i] < 0:
-                raise ValueError(f"no path between class {cc} and class {labels[j]}")
-            values[i, j] = dist[node_i]
+    ends = np.array([(index[p], index[c]) for p, c in h.edges], dtype=np.intp).reshape(-1, 2)
+    adj = csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(len(index),) * 2)
+    nodes = np.array([index[h.class_index[cc]] for cc in labels], dtype=np.intp)
+    values = np.empty((len(labels), len(labels)))
+    chunk = max(1, 2**22 // len(index))  # rows of each dense (chunk, all nodes) hop block
+    for lo in range(0, len(labels), chunk):
+        hops = shortest_path(adj, directed=False, unweighted=True, indices=nodes[lo:lo + chunk])
+        values[lo:lo + chunk] = hops[:, nodes]
+    unreachable = np.argwhere(np.isinf(values))
+    if unreachable.size:
+        i, j = unreachable[0]
+        raise ValueError(f"no path between class {labels[i]} and class {labels[j]}")
     return DistanceMatrix(labels=labels, values=values)
 
 

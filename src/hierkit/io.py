@@ -12,6 +12,7 @@ trailing payload, non-finite values and out-of-range labels are all errors.
 from __future__ import annotations
 
 import json
+import os
 from typing import Optional
 
 import numpy as np
@@ -46,7 +47,9 @@ def _fmt9(v: float) -> str:
 
 
 def _read_exact(fh, count: int, what: str, path) -> bytes:
-    buf = fh.read(count)
+    # a header may claim more than memory holds: ask only for what the file has
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    buf = fh.read(min(count, max(left, 0)))
     if len(buf) != count:
         raise ValueError(f"{path}: truncated payload reading {what}: "
                          f"expected {count} bytes, got {len(buf)}")
@@ -251,6 +254,11 @@ _PRED_HEADER = ["epoch", "example_id", "true_label", "pred_label"]
 
 
 def write_predictions(log: PredictionLog, path) -> None:
+    """Write a prediction log CSV; refuses ids that read_predictions would split."""
+    ids = log.example_ids.astype(str, copy=False)
+    bad = np.flatnonzero(np.any([np.strings.find(ids, ch) >= 0 for ch in ",\n\r"], axis=0))
+    if bad.size:
+        raise ValueError(f"example_id {str(ids[bad[0]])!r} contains a comma or a line break")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_PRED_HEADER) + "\n")
         for e, x, t, p in zip(log.epochs, log.example_ids, log.true_labels, log.pred_labels):

@@ -10,7 +10,7 @@ the cophenetic correlation coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -25,6 +25,7 @@ __all__ = [
     "ccc",
     "cover_similarity",
     "cover_stats",
+    "min_sq_distance_blocks",
     "split_query_support",
     "to_distance_matrix",
 ]
@@ -142,20 +143,17 @@ def split_query_support(f: FeatureSet, cfg: CoverConfig) -> tuple[FeatureSet, Fe
     return query, support
 
 
-def _min_distances(query: FeatureSet, support: FeatureSet,
-                   classes: np.ndarray) -> np.ndarray:
-    """(N_query, n_classes) matrix of min distances to each support class."""
-    order = np.argsort(support.labels, kind="stable")
-    sv = support.vectors[order].astype(np.float64, copy=False)
-    slabels = support.labels[order]
-    starts = np.searchsorted(slabels, classes, side="left")
-    qv = query.vectors.astype(np.float64, copy=False)
-    mins = np.empty((len(query), classes.size))
-    block = max(1, int(2**22 // max(1, sv.shape[0])))  # ~32 MB of f64 per chunk
-    for lo in range(0, qv.shape[0], block):
-        d = cdist(qv[lo:lo + block], sv)
-        mins[lo:lo + block] = np.minimum.reduceat(d, starts, axis=1)
-    return mins
+def min_sq_distance_blocks(x: np.ndarray, refs: np.ndarray,
+                           starts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, block): block[i, g] is the minimum squared Euclidean distance from
+    x[lo + i] to the non-empty group refs[starts[g]:starts[g + 1]] (the last runs to
+    the end), in float64, in row blocks of about 2**22 distances (32 MB).
+    """
+    x, refs = x.astype(np.float64, copy=False), refs.astype(np.float64, copy=False)
+    rows = max(1, 2**22 // max(1, refs.shape[0]))
+    for lo in range(0, x.shape[0], rows):
+        d = cdist(x[lo:lo + rows], refs, "sqeuclidean")
+        yield lo, d if len(starts) == len(refs) else np.minimum.reduceat(d, starts, axis=1)
 
 
 def cover_similarity(query: FeatureSet, support: FeatureSet,
@@ -174,7 +172,11 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
     classes = query.present_classes()
     if not np.array_equal(classes, support.present_classes()):
         raise ValueError("query and support label sets differ")
-    mins = _min_distances(query, support, classes)
+    order = np.argsort(support.labels, kind="stable")
+    starts = np.searchsorted(support.labels[order], classes)
+    mins = np.empty((len(query), classes.size))
+    for lo, block in min_sq_distance_blocks(query.vectors, support.vectors[order], starts):
+        np.sqrt(block, out=mins[lo:lo + len(block)])
     r_max = cfg.r_max if cfg.r_max is not None else float(mins.max())
     if not r_max > 0:
         raise ValueError(f"r_max must be > 0, got {r_max}")

@@ -532,3 +532,22 @@ def test_golden_manifest(golden_inputs, argv, expected):
     assert run(argv.split() + ["--out", "case"]) == 0
     expected = expected.replace("@VERSION@", hierkit.__version__)
     assert (golden_inputs / "case" / "run.json").read_bytes() == expected.encode("utf-8")
+
+
+class TestAbsurdBinaryHeader:
+    def test_cover_and_nc_report_error_without_traceback(self, featdir, spacefile,
+                                                         tmp_path, capsys):
+        bad_features = tmp_path / "bad_features.bin"
+        bad_features.write_bytes(b"HBFEAT01" + np.full(3, 2**61, dtype="<u8").tobytes())
+        bad_head = tmp_path / "bad_head.bin"
+        bad_head.write_bytes(b"HBHEAD01" + np.full(2, 2**61, dtype="<u8").tobytes())
+        runs = [["manifold", "cover", "--features", str(bad_features), "--k", "2",
+                 "--seed", "0"],
+                ["nc", "compute", "--features", str(featdir / "features_e002.bin"),
+                 "--head", str(bad_head), "--labelspace", str(spacefile)]]
+        for argv in runs:
+            capsys.readouterr()
+            assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "truncated payload" in err
+            assert "Traceback" not in err

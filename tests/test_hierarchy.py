@@ -201,3 +201,64 @@ class TestHypernymOf:
         h = parse_hierarchy(["r\tx", "s\tx", "x\tleaf"], ["0\tleaf"])
         with pytest.raises(ValueError, match="requires a tree"):
             hypernym_of(h, 0, ["r"])
+
+
+def _floyd_warshall_hops(h):
+    """All-pairs undirected hop counts over h.nodes (inf when unreachable)."""
+    idx = {n: i for i, n in enumerate(h.nodes)}
+    d = np.full((len(h.nodes),) * 2, np.inf)
+    np.fill_diagonal(d, 0.0)
+    for parent, child in h.edges:
+        d[idx[parent], idx[child]] = d[idx[child], idx[parent]] = 1.0
+    for k in range(len(h.nodes)):
+        d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
+    return d, idx
+
+
+def _random_taxonomy(rng, dag):
+    """A random tree; with dag=True, extra internal edges (diamonds) and
+    repeated edge lines.  Class indices are shuffled over the leaves."""
+    n = int(rng.integers(3, 40))
+    parents = [int(rng.integers(0, i)) for i in range(1, n)]
+    edges = [f"n{p}\tn{i + 1}" for i, p in enumerate(parents)]
+    internal = sorted(set(parents))
+    if dag:
+        for _ in range(int(rng.integers(1, 6))):
+            p = int(rng.choice(internal))
+            child = int(rng.integers(p + 1, n))
+            edges.append(f"n{p}\tn{child}")
+        edges += [edges[int(i)] for i in rng.integers(0, len(edges), size=3)]
+    leaves = [i for i in range(n) if i not in internal]
+    order = rng.permutation(len(leaves))
+    classes = [f"{j}\tn{leaves[k]}" for j, k in enumerate(order)]
+    return parse_hierarchy(edges, classes)
+
+
+class TestGraphDistancesReference:
+    @pytest.mark.parametrize("dag", [False, True])
+    def test_matches_floyd_warshall(self, dag):
+        rng = np.random.default_rng(11 + dag)
+        for _ in range(25):
+            h = _random_taxonomy(rng, dag)
+            fw, idx = _floyd_warshall_hops(h)
+            subset = [int(c) for c in rng.permutation(h.class_count)]
+            subset = subset[:max(1, len(subset) - int(rng.integers(0, 3)))]
+            for classes in (None, subset):
+                labels = list(range(h.class_count)) if classes is None else classes
+                nodes = [idx[h.class_index[c]] for c in labels]
+                d = graph_distance_matrix(h, classes=classes)
+                assert d.labels == labels
+                assert np.array_equal(d.values, fw[np.ix_(nodes, nodes)])
+
+    def test_diamond_with_duplicate_edges(self):
+        h = parse_hierarchy(["r\ta", "r\tb", "a\tm", "b\tm", "m\tx", "a\ty", "a\tm"],
+                            ["0\tx", "1\ty"])
+        fw, idx = _floyd_warshall_hops(h)
+        d = graph_distance_matrix(h, classes=[1, 0])
+        assert d.values[0, 1] == fw[idx["y"], idx["x"]] == 3.0
+
+    def test_disconnected_names_first_pair_in_row_major_order(self):
+        h = parse_hierarchy(["r1\ta", "r1\tb", "r2\tc", "r2\td"],
+                            ["0\ta", "1\tb", "2\tc", "3\td"])
+        with pytest.raises(ValueError, match=r"^no path between class 2 and class 0$"):
+            graph_distance_matrix(h, classes=[2, 3, 0, 1])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -361,3 +362,30 @@ class TestWriteTable:
                               scale="percent")
         with pytest.raises(ValueError, match="unknown table format"):
             write_table(series, tmp_path / "m.xml", fmt="xml")
+
+
+class TestHeaderClaimsCheckedAgainstFileSize:
+    # Each count is 2**61: the payload it claims is far beyond the file, and
+    # beyond what a single read can even be asked for.
+    @pytest.mark.parametrize("magic, fields, reader, what, expected", [
+        (FEATURES_MAGIC, 3, read_features, "labels", 4 * 2**61),
+        (HEAD_MAGIC, 2, read_head, "weights", 4 * 2**122),
+        (DMAT_MAGIC, 1, read_distance_matrix, "matrix", 8 * 2**122),
+    ], ids=["features", "head", "distance-matrix"])
+    def test_huge_count_is_truncation(self, tmp_path, magic, fields, reader, what, expected):
+        path = tmp_path / "x.bin"
+        path.write_bytes(magic + np.full(fields, 2**61, dtype="<u8").tobytes() + b"\x00" * 5)
+        with pytest.raises(ValueError, match=f"truncated payload reading {what}: "
+                                             f"expected {expected} bytes, got 5"):
+            reader(path)
+
+
+class TestPredictionIdsRefused:
+    @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb"])
+    def test_writer_refuses_what_reader_rejects(self, tmp_path, bad):
+        log = PredictionLog(epochs=[1, 1], example_ids=["ok", bad],
+                            true_labels=[0, 1], pred_labels=[0, 1], label_count=2)
+        path = tmp_path / "p.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_predictions(log, path)
+        assert not path.exists()
