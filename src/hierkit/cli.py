@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .collapse import class_statistics, lift_to_superclass, nc_report
 from .hierarchy import graph_distance_matrix, parse_hierarchy
-from .io import (read_features, read_head, read_predictions, write_features,
+from .io import (read_features, read_head, read_predictions, write_csv, write_features,
                  write_json, write_predictions, write_table)
 from .labelspace import (LabelSpace, build_labelspace, hyponym_space,
                          parse_grouping, project_log, random_isomorphic,
@@ -126,12 +126,9 @@ def _cmd_metrics_curves(args, out: Path) -> None:
 
 def _cmd_metrics_converge(args, out: Path) -> None:
     log = read_predictions(args.log)
-    rows = [(tag, convergence_epoch(accuracy_series(plog), args.fraction))
-            for tag, _, plog in _curve_spaces(args, log)]
-    with open(out / "converge.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("space,epoch\n")
-        for tag, epoch in rows:
-            fh.write(f"{tag},{epoch}\n")
+    lines = [f"{tag},{convergence_epoch(accuracy_series(plog), args.fraction)}"
+             for tag, _, plog in _curve_spaces(args, log)]
+    write_csv(out / "converge.csv", "space,epoch", lines)
 
 
 def _cmd_metrics_confusion(args, out: Path) -> None:
@@ -179,12 +176,12 @@ def _cmd_nc_compute(args, out: Path) -> None:
     head = read_head(args.head)
     stats = class_statistics(f)
     report = nc_report(f, head, "hyponyms", stats=stats)
-    write_table(report, out / "nc_hyponyms.json", fmt="json")
+    write_table(report, out / "nc_hyponyms.json")
     if args.labelspace:
         space = read_labelspace(args.labelspace)
         lifted_stats, lifted_head = lift_to_superclass(stats, head, space)
         lifted = nc_report(f, lifted_head, space.name, stats=lifted_stats)
-        write_table(lifted, out / f"nc_{_safe_name(space.name)}.json", fmt="json")
+        write_table(lifted, out / f"nc_{_safe_name(space.name)}.json")
 
 
 # ------------------------------------------------------------------ synth

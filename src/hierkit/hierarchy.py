@@ -237,7 +237,7 @@ def graph_distance_matrix(h: Hierarchy, classes: Iterable[int] | None = None) ->
     chunk = max(1, 2**22 // len(index))  # rows of each dense (chunk, all nodes) hop block
     for lo in range(0, len(labels), chunk):
         hops = shortest_path(adj, directed=False, unweighted=True, indices=nodes[lo:lo + chunk])
-        values[lo:lo + chunk] = hops[:, nodes]
+        np.take(hops, nodes, axis=1, out=values[lo:lo + chunk], mode="clip")
     unreachable = np.argwhere(np.isinf(values))
     if unreachable.size:
         i, j = unreachable[0]

@@ -3,10 +3,14 @@
 Binary formats are little-endian with an 8-byte magic: `HBFEAT01` (features),
 `HBDMAT01` (square f64 matrix), `HBHEAD01` (classifier head).  Bulk payloads
 are 32-bit floats; distance matrices are 64-bit since correlation analysis
-is sensitive to rounding.  Text output is UTF-8 with `\\n` endings and
-locale-independent number formatting, so identical inputs give byte-identical
-files on any machine.  Readers validate strictly: wrong magic, truncated or
-trailing payload, non-finite values and out-of-range labels are all errors.
+is sensitive to rounding.  A path ending in `.csv` picks CSV, any other path
+binary.  Every CSV file is one dialect, written by `write_csv` and read by
+`_csv_rows`: UTF-8, `\\n` line ends, a header row, then rows with as many
+fields as the header; empty lines are skipped but keep their line numbers.
+Numbers are formatted locale-independently, so identical inputs give
+byte-identical files on any machine.  Readers validate strictly: wrong magic,
+truncated or trailing payload, non-finite values and out-of-range labels are
+all errors.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "read_features",
     "read_head",
     "read_predictions",
+    "write_csv",
     "write_distance_matrix",
     "write_features",
     "write_head",
@@ -39,11 +44,23 @@ FEATURES_MAGIC = b"HBFEAT01"
 DMAT_MAGIC = b"HBDMAT01"
 HEAD_MAGIC = b"HBHEAD01"
 _KNOWN = {FEATURES_MAGIC: "feature", DMAT_MAGIC: "distance-matrix", HEAD_MAGIC: "head"}
+_INT64 = range(-2**63, 2**63)
 
 
 def _fmt9(v: float) -> str:
     """9 significant digits: enough to round-trip any 32-bit float exactly."""
     return format(float(v), ".9g")
+
+
+# ------------------------------------------------------------ binary layout
+
+def _write_binary(path, magic: bytes, header, *arrays: np.ndarray) -> None:
+    """The magic, the header as u64 fields, then each array's raw bytes."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(np.array(header, dtype="<u8").tobytes())
+        for a in arrays:
+            fh.write(a.tobytes())
 
 
 def _read_exact(fh, count: int, what: str, path) -> bytes:
@@ -76,29 +93,57 @@ def _read_u64(fh, n: int, what: str, path) -> tuple[int, ...]:
     return tuple(int(x) for x in np.frombuffer(buf, dtype="<u8"))
 
 
+# --------------------------------------------------------------- CSV dialect
+
+def write_csv(path, header, lines) -> None:
+    """Write ``header``, then each of ``lines``: comma-joined fields, no line end."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _csv_header(fh) -> list[str]:
+    return fh.readline().rstrip("\n").split(",")
+
+
+def _csv_rows(fh, path, width: int):
+    """Yield (line number, fields) per data row: empty lines skipped, others ``width`` wide."""
+    for lineno, line in enumerate(fh, start=2):
+        fields = line.rstrip("\n").split(",")
+        if len(fields) != width:
+            if fields == [""]:
+                continue
+            raise ValueError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+        yield lineno, fields
+
+
+def _write_labelled_rows(path, header, labels, rows, cell) -> None:
+    """One `label,cell,…` line per row; a grid's header is its column labels."""
+    write_csv(path, header, (f"{lbl}," + ",".join(map(cell, row))
+                             for lbl, row in zip(labels, rows)))
+
+
+def _labelled_cells(fields: list[str], path, lineno: int) -> tuple[int, np.ndarray]:
+    """An integer label and float64 cells from a `label,cell,…` row."""
+    try:
+        return int(fields[0]), np.array(fields[1:], dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: malformed numeric field") from None
+
+
 # ---------------------------------------------------------------- features
 
-def write_features(f: FeatureSet, path, fmt: Optional[str] = None) -> None:
-    """Write a FeatureSet; fmt is 'binary' (default) or 'csv' (by extension)."""
-    if fmt is None:
-        fmt = "csv" if str(path).endswith(".csv") else "binary"
-    if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(FEATURES_MAGIC)
-            n, p = f.vectors.shape
-            fh.write(np.array([n, p, f.class_count], dtype="<u8").tobytes())
-            fh.write(f.labels.astype("<u4").tobytes())
-            fh.write(f.vectors.astype("<f4").tobytes())
-    elif fmt == "csv":
-        p = f.vectors.shape[1]
-        header = "label," + ",".join(f"f{i}" for i in range(p))
-        vec32 = f.vectors.astype(np.float32)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            for lbl, row in zip(f.labels, vec32):
-                fh.write(f"{int(lbl)}," + ",".join(_fmt9(v) for v in row) + "\n")
+def write_features(f: FeatureSet, path) -> None:
+    """Write a FeatureSet as CSV (`label,f0,...`) or binary (HBFEAT01)."""
+    if len(f) == 0:
+        raise ValueError("cannot write a feature set with no vectors")
+    if str(path).endswith(".csv"):
+        header = "label," + ",".join(f"f{i}" for i in range(f.dimension))
+        _write_labelled_rows(path, header, f.labels, f.vectors.astype(np.float32), _fmt9)
     else:
-        raise ValueError(f"unknown features format {fmt!r}")
+        _write_binary(path, FEATURES_MAGIC, [*f.vectors.shape, f.class_count],
+                      f.labels.astype("<u4"), f.vectors.astype("<f4"))
 
 
 def read_features(path) -> FeatureSet:
@@ -107,13 +152,15 @@ def read_features(path) -> FeatureSet:
         head = fh.read(8)
         if head == FEATURES_MAGIC:
             n, p, c = _read_u64(fh, 3, "header", path)
+            if n == 0:
+                raise ValueError(f"{path}: feature file contains no data rows")
             labels = np.frombuffer(_read_exact(fh, 4 * n, "labels", path), dtype="<u4")
             data = np.frombuffer(_read_exact(fh, 4 * n * p, "vectors", path), dtype="<f4")
             _no_trailing(fh, path)
             vectors = data.reshape(n, p).astype(np.float32)
             if not np.isfinite(vectors).all():
                 raise ValueError(f"{path}: feature vectors contain non-finite values")
-            if labels.size and int(labels.max()) >= c:
+            if int(labels.max()) >= c:
                 raise ValueError(f"{path}: label {int(labels.max())} >= class count {c}")
             return FeatureSet(vectors=vectors, labels=labels.astype(np.int64), class_count=c)
         if head in _KNOWN:
@@ -123,62 +170,45 @@ def read_features(path) -> FeatureSet:
 
 def _read_features_csv(path, head: bytes) -> FeatureSet:
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        if not cols or cols[0] != "label" or len(cols) < 2 or \
+        cols = _csv_header(fh)
+        if cols[0] != "label" or len(cols) < 2 or \
                 any(c != f"f{i}" for i, c in enumerate(cols[1:])):
             raise ValueError(f"{path}: unknown format (magic {head!r}, expected "
                              f"{FEATURES_MAGIC!r} or CSV header 'label,f0,...')")
-        p = len(cols) - 1
-        labels: list[int] = []
-        rows: list[np.ndarray] = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != p + 1:
-                raise ValueError(f"{path}:{lineno}: expected {p + 1} fields, got {len(parts)}")
-            try:
-                labels.append(int(parts[0]))
-                rows.append(np.array(parts[1:], dtype=np.float64))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed numeric field") from None
-        if not rows:
-            raise ValueError(f"{path}: CSV contains no data rows")
-        vectors = np.vstack(rows).astype(np.float32)
-        if not np.isfinite(vectors).all():
-            raise ValueError(f"{path}: feature vectors contain non-finite values")
-        lab = np.array(labels, dtype=np.int64)
-        if lab.min() < 0:
-            raise ValueError(f"{path}: negative class label")
-        return FeatureSet(vectors=vectors, labels=lab, class_count=int(lab.max()) + 1)
+        labels, rows = [], []
+        for lineno, fields in _csv_rows(fh, path, len(cols)):
+            label, cells = _labelled_cells(fields, path, lineno)
+            if label not in _INT64:
+                raise ValueError(f"{path}:{lineno}: label {label} does not fit in int64")
+            labels.append(label)
+            rows.append(cells)
+    if not rows:
+        raise ValueError(f"{path}: CSV contains no data rows")
+    vectors = np.vstack(rows).astype(np.float32)
+    if not np.isfinite(vectors).all():
+        raise ValueError(f"{path}: feature vectors contain non-finite values")
+    lab = np.array(labels, dtype=np.int64)
+    if lab.min() < 0:
+        raise ValueError(f"{path}: negative class label")
+    return FeatureSet(vectors=vectors, labels=lab, class_count=int(lab.max()) + 1)
 
 
 # ---------------------------------------------------- square f64 matrices
 
-def write_distance_matrix(d, path, fmt: Optional[str] = None) -> None:
-    """Write a DistanceMatrix (or SimilarityMatrix) as HBDMAT01 or CSV.
+def write_distance_matrix(d, path) -> None:
+    """Write a DistanceMatrix (or SimilarityMatrix) as CSV or HBDMAT01.
 
     The binary layout stores only the size and the row-major f64 grid, so
     labels must be 0..n-1; the CSV form keeps explicit labels in the first
     row and column.
     """
-    if fmt is None:
-        fmt = "csv" if str(path).endswith(".csv") else "binary"
-    values = d.values
-    labels = d.labels
-    if fmt == "binary":
-        if labels != list(range(len(labels))):
-            raise ValueError("binary matrix format requires labels 0..n-1")
-        with open(path, "wb") as fh:
-            fh.write(DMAT_MAGIC)
-            fh.write(np.array([len(labels)], dtype="<u8").tobytes())
-            fh.write(values.astype("<f8").tobytes())
-    elif fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("," + ",".join(str(x) for x in labels) + "\n")
-            for lbl, row in zip(labels, values):
-                fh.write(f"{lbl}," + ",".join(_fmt9(v) for v in row) + "\n")
+    if str(path).endswith(".csv"):
+        _write_labelled_rows(path, "," + ",".join(map(str, d.labels)), d.labels, d.values,
+                             _fmt9)
+    elif d.labels != list(range(len(d.labels))):
+        raise ValueError("binary matrix format requires labels 0..n-1")
     else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
+        _write_binary(path, DMAT_MAGIC, [len(d.labels)], d.values.astype("<f8"))
 
 
 def read_distance_matrix(path) -> DistanceMatrix:
@@ -193,7 +223,7 @@ def read_distance_matrix(path) -> DistanceMatrix:
         if head in _KNOWN:
             _check_magic(head, DMAT_MAGIC, path)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
+        header = _csv_header(fh)
         if header[0] != "":
             raise ValueError(f"{path}: unknown format (magic {head!r}, expected "
                              f"{DMAT_MAGIC!r} or CSV with an empty first header cell)")
@@ -201,43 +231,36 @@ def read_distance_matrix(path) -> DistanceMatrix:
             labels = [int(x) for x in header[1:]]
         except ValueError:
             raise ValueError(f"{path}: non-integer label in CSV header") from None
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(labels) + 1:
-                raise ValueError(f"{path}:{lineno}: expected {len(labels) + 1} fields")
-            if lineno - 2 >= len(labels):
+        rows: list[np.ndarray] = []
+        for lineno, fields in _csv_rows(fh, path, len(labels) + 1):
+            if len(rows) == len(labels):
                 raise ValueError(f"{path}:{lineno}: extra row, the header has "
                                  f"{len(labels)} labels")
-            try:
-                row_label = int(parts[0])
-                rows.append(np.array(parts[1:], dtype=np.float64))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed numeric field") from None
-            if row_label != labels[lineno - 2]:
-                raise ValueError(f"{path}:{lineno}: row label {parts[0]} does not match "
-                                 f"header label {labels[lineno - 2]}")
-        if len(rows) != len(labels):
-            raise ValueError(f"{path}: expected {len(labels)} rows, got {len(rows)}")
-        return DistanceMatrix(labels=labels, values=np.vstack(rows))
+            row_label, cells = _labelled_cells(fields, path, lineno)
+            if row_label != labels[len(rows)]:
+                raise ValueError(f"{path}:{lineno}: row label {fields[0]} does not match "
+                                 f"header label {labels[len(rows)]}")
+            rows.append(cells)
+    if len(rows) != len(labels):
+        raise ValueError(f"{path}: expected {len(labels)} rows, got {len(rows)}")
+    return DistanceMatrix(labels=labels, values=np.vstack(rows))
 
 
 # ------------------------------------------------------------------- head
 
 def write_head(head: ClassifierHead, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(HEAD_MAGIC)
-        c, p = head.weights.shape
-        fh.write(np.array([c, p], dtype="<u8").tobytes())
-        fh.write(head.weights.astype("<f4").tobytes())
-        fh.write(head.bias.astype("<f4").tobytes())
+    if head.class_count == 0:
+        raise ValueError("cannot write a head with no classes")
+    _write_binary(path, HEAD_MAGIC, head.weights.shape,
+                  head.weights.astype("<f4"), head.bias.astype("<f4"))
 
 
 def read_head(path) -> ClassifierHead:
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        _check_magic(magic, HEAD_MAGIC, path)
+        _check_magic(fh.read(8), HEAD_MAGIC, path)
         c, p = _read_u64(fh, 2, "header", path)
+        if c == 0:
+            raise ValueError(f"{path}: head has no classes")
         w = np.frombuffer(_read_exact(fh, 4 * c * p, "weights", path), dtype="<f4")
         b = np.frombuffer(_read_exact(fh, 4 * c, "bias", path), dtype="<f4")
         _no_trailing(fh, path)
@@ -259,10 +282,9 @@ def write_predictions(log: PredictionLog, path) -> None:
     bad = np.flatnonzero(np.any([np.strings.find(ids, ch) >= 0 for ch in ",\n\r"], axis=0))
     if bad.size:
         raise ValueError(f"example_id {str(ids[bad[0]])!r} contains a comma or a line break")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_PRED_HEADER) + "\n")
-        for e, x, t, p in zip(log.epochs, log.example_ids, log.true_labels, log.pred_labels):
-            fh.write(f"{int(e)},{x},{int(t)},{int(p)}\n")
+    columns = (log.epochs.tolist(), log.example_ids.tolist(), log.true_labels.tolist(),
+               log.pred_labels.tolist())
+    write_csv(path, ",".join(_PRED_HEADER), (f"{e},{x},{t},{p}" for e, x, t, p in zip(*columns)))
 
 
 def read_predictions(path, label_count: Optional[int] = None) -> PredictionLog:
@@ -273,7 +295,7 @@ def read_predictions(path, label_count: Optional[int] = None) -> PredictionLog:
     (epoch, example_id) pairs, reporting row numbers.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
+        header = _csv_header(fh)
         for col in _PRED_HEADER:
             if col not in header:
                 raise ValueError(f"{path}: header is missing column {col!r}")
@@ -281,10 +303,7 @@ def read_predictions(path, label_count: Optional[int] = None) -> PredictionLog:
             raise ValueError(f"{path}: header must be exactly {','.join(_PRED_HEADER)!r}")
         epochs, ids, true, pred = [], [], [], []
         seen: dict[tuple[int, str], int] = {}
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        for lineno, parts in _csv_rows(fh, path, 4):
             try:
                 e = int(parts[0])
             except ValueError:
@@ -308,58 +327,39 @@ def read_predictions(path, label_count: Optional[int] = None) -> PredictionLog:
             pred.append(pr)
     if not epochs:
         raise ValueError(f"{path}: prediction log contains no records")
-    inferred = max(max(true), max(pred)) + 1
+    try:
+        columns = [np.array(col, dtype=np.int64) for col in (epochs, true, pred)]
+    except OverflowError:  # a field beyond int64: name its line, found through `seen`
+        i = next(i for i, row in enumerate(zip(epochs, true, pred)) if max(row) not in _INT64)
+        raise ValueError(f"{path}:{seen[epochs[i], ids[i]]}: integer field does not fit "
+                         f"in int64") from None
+    inferred = int(max(columns[1].max(), columns[2].max())) + 1
     if label_count is None:
         label_count = inferred
     elif inferred > label_count:
         raise ValueError(f"{path}: label {inferred - 1} >= label count {label_count}")
-    return PredictionLog(epochs=np.array(epochs), example_ids=np.array(ids),
-                         true_labels=np.array(true), pred_labels=np.array(pred),
-                         label_count=label_count)
+    return PredictionLog(epochs=columns[0], example_ids=np.array(ids), true_labels=columns[1],
+                         pred_labels=columns[2], label_count=label_count)
 
 
 # ----------------------------------------------------------------- tables
 
-def write_table(obj, path, fmt: str = "csv") -> None:
+def write_table(obj, path) -> None:
     """Write a MetricSeries, matrix, ConfusionMatrix or NCReport table.
 
-    Output is deterministic: fixed key order for JSON, fixed decimal
-    formatting for CSV (6 decimals for metric series, 9 significant digits
-    for matrix entries).
+    Each table type has one encoding: metric series (6 decimals) and
+    confusion matrices are CSV, NC reports are JSON with a fixed key order,
+    and matrices go through :func:`write_distance_matrix`.
     """
     if isinstance(obj, MetricSeries):
-        if fmt == "csv":
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("epoch,value\n")
-                for e, v in zip(obj.epochs, obj.values):
-                    fh.write(f"{int(e)},{v:.6f}\n")
-        elif fmt == "json":
-            payload = {"series": [{"epoch": int(e), "value": float(v)}
-                                  for e, v in zip(obj.epochs, obj.values)],
-                       "scale": obj.scale}
-            write_json(payload, path)
-        else:
-            raise ValueError(f"unknown table format {fmt!r}")
+        write_csv(path, "epoch,value",
+                  (f"{int(e)},{v:.6f}" for e, v in zip(obj.epochs, obj.values)))
     elif isinstance(obj, (DistanceMatrix, SimilarityMatrix)):
-        if fmt == "csv":
-            write_distance_matrix(obj, path, fmt="csv")
-        elif fmt == "binary":
-            write_distance_matrix(obj, path, fmt="binary")
-        elif fmt == "json":
-            write_json({"labels": list(obj.labels),
-                        "values": [[float(v) for v in row] for row in obj.values]}, path)
-        else:
-            raise ValueError(f"unknown table format {fmt!r}")
+        write_distance_matrix(obj, path)
     elif isinstance(obj, ConfusionMatrix):
-        if fmt != "csv":
-            raise ValueError("confusion matrices are written as CSV")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("," + ",".join(str(x) for x in obj.order) + "\n")
-            for lbl, row in zip(obj.order, obj.counts):
-                fh.write(f"{lbl}," + ",".join(str(int(v)) for v in row) + "\n")
+        _write_labelled_rows(path, "," + ",".join(map(str, obj.order)), obj.order,
+                             obj.counts, str)
     elif isinstance(obj, NCReport):
-        if fmt != "json":
-            raise ValueError("NC reports are written as JSON")
         payload = {"nc1": obj.nc1, "beta_mu": obj.beta_mu, "beta_w": obj.beta_w,
                    "alpha_mu": obj.alpha_mu, "alpha_w": obj.alpha_w, "nc3": obj.nc3,
                    "nc4": obj.nc4_mismatch, "label_space": obj.label_space_name,

@@ -551,3 +551,41 @@ class TestAbsurdBinaryHeader:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "truncated payload" in err
             assert "Traceback" not in err
+
+
+class TestMalformedInputsExitOne:
+    BIG = 10**23
+
+    def _fails(self, argv, tmp_path, capsys, message):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row", ["{0},a,0,0", "1,a,{0},0"], ids=["epoch", "label"])
+    def test_prediction_log_integer_beyond_int64(self, tmp_path, capsys, row):
+        log = tmp_path / "p.csv"
+        log.write_text("epoch,example_id,true_label,pred_label\n1,b,0,0\n"
+                       + row.format(self.BIG) + "\n")
+        self._fails(["metrics", "curves", "--log", str(log)], tmp_path, capsys,
+                    f"{log}:3: integer field does not fit in int64")
+
+    def test_features_label_beyond_int64(self, tmp_path, capsys):
+        feats = tmp_path / "f.csv"
+        feats.write_text(f"label,f0\n0,1.0\n{self.BIG},2.0\n")
+        self._fails(["manifold", "cover", "--features", str(feats), "--k", "1",
+                     "--seed", "0"], tmp_path, capsys, f"{feats}:3: label {self.BIG}")
+
+    def test_zero_row_features_header(self, tmp_path, capsys):
+        feats = tmp_path / "f.bin"
+        feats.write_bytes(b"HBFEAT01" + np.array([0, 2**62, 1], dtype="<u8").tobytes())
+        self._fails(["manifold", "cover", "--features", str(feats), "--k", "1",
+                     "--seed", "0"], tmp_path, capsys, f"{feats}: feature file contains no")
+
+    def test_zero_class_head_header(self, featdir, spacefile, tmp_path, capsys):
+        head = tmp_path / "h.bin"
+        head.write_bytes(b"HBHEAD01" + np.array([0, 2**40], dtype="<u8").tobytes())
+        self._fails(["nc", "compute", "--features", str(featdir / "features_e002.bin"),
+                     "--head", str(head), "--labelspace", str(spacefile)], tmp_path, capsys,
+                    f"{head}: head has no classes")

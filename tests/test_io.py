@@ -308,43 +308,24 @@ class TestWriteTable:
         write_table(series, path)
         assert path.read_text() == "epoch,value\n1,50.000000\n2,91.250000\n"
 
-    def test_metric_series_json(self, tmp_path):
-        series = MetricSeries(epochs=np.array([1]), values=np.array([0.5]),
-                              scale="unit")
-        path = tmp_path / "m.json"
-        write_table(series, path, fmt="json")
-        payload = json.loads(path.read_text())
-        assert payload == {"series": [{"epoch": 1, "value": 0.5}], "scale": "unit"}
-
     def test_confusion_csv_bytes(self, tmp_path):
         m = ConfusionMatrix(order=[1, 0], counts=np.array([[2, 0], [1, 3]]))
         path = tmp_path / "c.csv"
         write_table(m, path)
         assert path.read_text() == ",1,0\n1,2,0\n0,1,3\n"
 
-    def test_confusion_requires_csv(self, tmp_path):
-        m = ConfusionMatrix(order=[0], counts=np.array([[1]]))
-        with pytest.raises(ValueError, match="written as CSV"):
-            write_table(m, tmp_path / "c.json", fmt="json")
-
     def test_nc_report_key_order(self, tmp_path):
         rep = NCReport(nc1=0.1, beta_mu=0.2, beta_w=0.3, alpha_mu=0.4,
                        alpha_w=0.5, nc3=0.6, nc4_mismatch=0.7,
                        label_space_name="pairs", degenerate_flags=("sigma_b_zero",))
         path = tmp_path / "nc.json"
-        write_table(rep, path, fmt="json")
+        write_table(rep, path)
         payload = json.loads(path.read_text())
         assert list(payload) == ["nc1", "beta_mu", "beta_w", "alpha_mu",
                                  "alpha_w", "nc3", "nc4", "label_space",
                                  "degenerate_flags"]
         assert payload["label_space"] == "pairs"
         assert payload["degenerate_flags"] == ["sigma_b_zero"]
-
-    def test_nc_report_requires_json(self, tmp_path):
-        rep = NCReport(nc1=0, beta_mu=0, beta_w=0, alpha_mu=0, alpha_w=0,
-                       nc3=0, nc4_mismatch=0, label_space_name="x")
-        with pytest.raises(ValueError, match="written as JSON"):
-            write_table(rep, tmp_path / "nc.csv", fmt="csv")
 
     def test_similarity_matrix_csv(self, tmp_path):
         a = SimilarityMatrix(labels=[0, 1], values=np.array([[1.0, 0.25],
@@ -356,12 +337,6 @@ class TestWriteTable:
     def test_unsupported_object_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cannot write object of type int"):
             write_table(42, tmp_path / "x.csv")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        series = MetricSeries(epochs=np.array([1]), values=np.array([1.0]),
-                              scale="percent")
-        with pytest.raises(ValueError, match="unknown table format"):
-            write_table(series, tmp_path / "m.xml", fmt="xml")
 
 
 class TestHeaderClaimsCheckedAgainstFileSize:
@@ -389,3 +364,92 @@ class TestPredictionIdsRefused:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             write_predictions(log, path)
         assert not path.exists()
+
+
+class TestBlankLinesSkipped:
+    """Empty lines are skipped by every CSV reader but keep their line numbers."""
+
+    def test_prediction_log(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("epoch,example_id,true_label,pred_label\n1,a,0,0\n\n1,b,1,1\n\n")
+        log = read_predictions(path)
+        assert list(log.example_ids) == ["a", "b"]
+        path.write_text("epoch,example_id,true_label,pred_label\n\n1,a,0,0\n\n1,a,1,1\n")
+        with pytest.raises(ValueError, match=r"p\.csv:5: duplicate.*first seen at row 3"):
+            read_predictions(path)
+
+    def test_features_csv(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("label,f0\n0,1.5\n\n1,2.5\n\n")
+        f = read_features(path)
+        np.testing.assert_array_equal(f.vectors, [[1.5], [2.5]])
+        path.write_text("label,f0\n\n0,1.0\n\n1,oops\n")
+        with pytest.raises(ValueError, match=r"f\.csv:5: malformed numeric field"):
+            read_features(path)
+
+    def test_distance_matrix_csv(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(",0,1\n0,0,1\n\n1,1,0\n\n")
+        np.testing.assert_array_equal(read_distance_matrix(path).values, [[0, 1], [1, 0]])
+        path.write_text(",0,1\n\n0,0,1\n1,1,0\n\n1,1,0\n")
+        with pytest.raises(ValueError, match=r"d\.csv:6: extra row"):
+            read_distance_matrix(path)
+
+    def test_whitespace_line_is_not_blank(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("epoch,example_id,true_label,pred_label\n1,a,0,0\n \n")
+        with pytest.raises(ValueError, match=r"p\.csv:3: expected 4 fields, got 1"):
+            read_predictions(path)
+
+
+def test_distance_matrix_csv_field_count_names_both(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text(",0,1\n0,0\n")
+    with pytest.raises(ValueError, match=r"d\.csv:2: expected 3 fields, got 2"):
+        read_distance_matrix(path)
+
+
+class TestIntegersBeyondInt64:
+    BIG = 10**23
+
+    @pytest.mark.parametrize("row", ["{0},a,0,0", "1,a,{0},0", "1,a,0,{0}"],
+                             ids=["epoch", "true", "pred"])
+    def test_prediction_log_names_line(self, tmp_path, row):
+        path = tmp_path / "p.csv"
+        path.write_text("epoch,example_id,true_label,pred_label\n1,b,0,0\n\n"
+                        + row.format(self.BIG) + "\n")
+        with pytest.raises(ValueError, match=r"p\.csv:4: integer field does not fit in int64"):
+            read_predictions(path)
+
+    def test_features_label_names_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(f"label,f0\n0,1.0\n{self.BIG},2.0\n")
+        with pytest.raises(ValueError, match=rf"f\.csv:3: label {self.BIG} does not fit in int64"):
+            read_features(path)
+
+
+class TestZeroCountBinaryHeaders:
+    def test_features_with_no_rows_rejected(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(FEATURES_MAGIC + np.array([0, 2**62, 1], dtype="<u8").tobytes())
+        with pytest.raises(ValueError, match=r"f\.bin: feature file contains no data rows"):
+            read_features(path)
+
+    def test_head_with_no_classes_rejected(self, tmp_path):
+        path = tmp_path / "h.bin"
+        path.write_bytes(HEAD_MAGIC + np.array([0, 2**40], dtype="<u8").tobytes())
+        with pytest.raises(ValueError, match=r"h\.bin: head has no classes"):
+            read_head(path)
+
+    @pytest.mark.parametrize("name", ["f.bin", "f.csv"])
+    def test_writer_refuses_empty_feature_set(self, tmp_path, name):
+        f = FeatureSet(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.int64), 2)
+        with pytest.raises(ValueError, match="no vectors"):
+            write_features(f, tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+    def test_writer_refuses_head_with_no_classes(self, tmp_path):
+        head = ClassifierHead(weights=np.zeros((0, 4)), bias=np.zeros(0))
+        with pytest.raises(ValueError, match="no classes"):
+            write_head(head, tmp_path / "h.bin")
+        assert not (tmp_path / "h.bin").exists()
