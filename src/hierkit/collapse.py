@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .manifold import FeatureSet, min_sq_distance_blocks
+from .manifold import FeatureSet, nearest_refs
 
 if TYPE_CHECKING:
     from .labelspace import LabelSpace
@@ -207,11 +207,7 @@ def nearest_mean_labels(f: FeatureSet, stats: Optional[ClassStats] = None) -> np
     """Nearest-class-centroid labels; ties go to the lower class index."""
     if stats is None:
         stats = class_statistics(f)
-    labels = np.empty(len(f), dtype=np.intp)
-    starts = np.arange(stats.class_count)
-    for lo, block in min_sq_distance_blocks(f.vectors, stats.class_means, starts):
-        labels[lo:lo + len(block)] = np.argmin(block, axis=1)
-    return labels
+    return nearest_refs(f.vectors, stats.class_means)
 
 
 def nc4_mismatch(f: FeatureSet, stats: ClassStats, head: ClassifierHead) -> float:
@@ -222,8 +218,10 @@ def nc4_mismatch(f: FeatureSet, stats: ClassStats, head: ClassifierHead) -> floa
     """
     if head.class_count != stats.class_count:
         raise ValueError("head row count does not match the number of classes")
-    scores = f.vectors.astype(np.float64, copy=False) @ head.weights.T + head.bias
+    scores = f.vectors.astype(np.float64, copy=False) @ head.weights.T
+    scores += head.bias
     linear = np.argmax(scores, axis=1)
+    del scores  # an N x C array: free it before the readout
     ncc = nearest_mean_labels(f, stats)
     return float(np.mean(linear != ncc))
 

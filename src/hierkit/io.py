@@ -202,6 +202,8 @@ def write_distance_matrix(d, path) -> None:
     labels must be 0..n-1; the CSV form keeps explicit labels in the first
     row and column.
     """
+    if not d.labels:
+        raise ValueError("cannot write a matrix with no labels")
     if str(path).endswith(".csv"):
         _write_labelled_rows(path, "," + ",".join(map(str, d.labels)), d.labels, d.values,
                              _fmt9)
@@ -217,6 +219,8 @@ def read_distance_matrix(path) -> DistanceMatrix:
         head = fh.read(8)
         if head == DMAT_MAGIC:
             (n,) = _read_u64(fh, 1, "header", path)
+            if n == 0:
+                raise ValueError(f"{path}: matrix has no labels")
             data = np.frombuffer(_read_exact(fh, 8 * n * n, "matrix", path), dtype="<f8")
             _no_trailing(fh, path)
             return DistanceMatrix(labels=list(range(n)), values=data.reshape(n, n).copy())
@@ -227,6 +231,8 @@ def read_distance_matrix(path) -> DistanceMatrix:
         if header[0] != "":
             raise ValueError(f"{path}: unknown format (magic {head!r}, expected "
                              f"{DMAT_MAGIC!r} or CSV with an empty first header cell)")
+        if header[1:] in ([], [""]):
+            raise ValueError(f"{path}: matrix has no labels")
         try:
             labels = [int(x) for x in header[1:]]
         except ValueError:

@@ -7,6 +7,7 @@ from hierkit.cli import run
 from hierkit.collapse import ClassifierHead
 from hierkit.io import read_features, read_predictions, write_head, write_table
 from hierkit.labelspace import read_labelspace
+from hierkit.manifold import SimilarityMatrix
 from hierkit.metrics import accuracy_series
 
 
@@ -589,3 +590,13 @@ class TestMalformedInputsExitOne:
         self._fails(["nc", "compute", "--features", str(featdir / "features_e002.bin"),
                      "--head", str(head), "--labelspace", str(spacefile)], tmp_path, capsys,
                     f"{head}: head has no classes")
+
+    def test_empty_cover_matrix_refused(self, featdir, tmp_path, capsys, monkeypatch):
+        # Features always hold a class, so stub an empty cover to reach the
+        # matrix writer's refusal through the CLI.
+        empty = SimilarityMatrix(labels=[], values=np.zeros((0, 0)))
+        monkeypatch.setattr("hierkit.cli.cover_similarity", lambda q, s, cfg: empty)
+        self._fails(["manifold", "cover", "--features", str(featdir / "features_e002.bin"),
+                     "--k", "2", "--seed", "0"], tmp_path, capsys,
+                    "cannot write a matrix with no labels")
+        assert not (tmp_path / "out" / "cover.csv").exists()

@@ -10,8 +10,8 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from hierkit.collapse import ClassStats, nearest_mean_labels
-from hierkit.manifold import (CoverConfig, FeatureSet, cover_similarity,
-                              min_sq_distance_blocks)
+from hierkit.manifold import (CoverConfig, FeatureSet, _block_rows, _screen_slack,
+                              cover_similarity, min_sq_distance_blocks, nearest_refs)
 
 
 def _etf_case():
@@ -98,3 +98,140 @@ def test_cover_minima_and_values_match_cdist(case):
     values = np.stack([contrib[query.labels == cc].mean(axis=0) for cc in classes])
     assert sim.r_max == r_max
     assert np.array_equal(sim.values, values)
+
+
+# ------------------------------------------------- nearest_refs: screen + refine
+
+def _overflow_rows_case():
+    # Rows near 1e155 square to inf, so their screen has no finite bound and
+    # cdist (all inf) picks ref 0; the moderate rows share their blocks.
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((30, 4))
+    x[::3] *= 1e155
+    return x, rng.standard_normal((20, 4))
+
+
+def _overflow_ties_case():
+    # Norms near 1e308 overflow every screen bound; cdist rows mix finite, inf
+    # and exactly tied values (row 0: refs 1 and 3 are both 0.25 away).
+    refs = np.array([[0.0, 0.0, 0.0], [1e154, 0.0, 0.0], [-1e154, 0.0, 0.0],
+                     [1e154, 1.0, 0.0], [1.0, 2.0, 3.0]])
+    x = np.array([[1e154, 0.5, 0.0], [1e155, 0.0, 0.0], [0.1, 0.2, 0.3],
+                  [-1e154, 0.0, 1.0], [1e155, 1e155, 0.0]])
+    return x, refs
+
+
+def _class_means(x, y, c):
+    means = np.zeros((c, x.shape[1]))
+    np.add.at(means, y, x.astype(np.float64))
+    return means / np.bincount(y, minlength=c)[:, None]
+
+
+def _desk_case():
+    # The criterion-6 shape: 60 classes of 20 examples, p=64.
+    rng = np.random.default_rng(5)
+    y = np.arange(1200) % 60
+    x = rng.standard_normal((60, 64))[y] + 2.0 * rng.standard_normal((1200, 64))
+    return x, _class_means(x, y, 60)
+
+
+def _float32_classes_case():
+    # float32 features and 1000 class means: 2**22 // 1000 = 4194-row blocks.
+    rng = np.random.default_rng(6)
+    y = np.arange(9000) % 1000
+    x = (rng.standard_normal((1000, 32))[y]
+         + rng.standard_normal((9000, 32))).astype(np.float32)
+    return x, _class_means(x, y, 1000)
+
+
+def _offset_ties_case():
+    # Each row is the midpoint of two refs 1e5 from the origin.  The offsets are
+    # multiples of 1/16 and fit the refs' ulp, so cdist sees exact ties; the
+    # screen's norms round, so its own argmin breaks about a quarter of them
+    # toward the higher index.
+    rng = np.random.default_rng(8)
+    base = 1e5 + 300.0 * rng.random((40, 8))
+    step = rng.integers(-8, 9, size=(40, 8)) / 8.0
+    refs = np.vstack([base, base + step])[rng.permutation(80)]
+    return base + step / 2, refs
+
+
+NEAREST_CASES = {**CASES, "offset_ties": _offset_ties_case, "overflow_rows": _overflow_rows_case,
+                 "overflow_ties": _overflow_ties_case, "desk": _desk_case,
+                 "float32_1000_classes": _float32_classes_case}
+FINITE_CASES = sorted(set(NEAREST_CASES) - {"overflow_rows", "overflow_ties"})
+
+
+def _screen(x, refs):
+    x = x.astype(np.float64)
+    xx, rr = np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", refs, refs)
+    return (xx[:, None] - 2.0 * (x @ refs.T)) + rr, xx, rr
+
+
+@pytest.mark.parametrize("case", sorted(NEAREST_CASES))
+def test_nearest_refs_match_cdist(case):
+    x, refs = NEAREST_CASES[case]()
+    expected = np.argmin(cdist(x, refs, "sqeuclidean"), axis=1)
+    assert np.array_equal(nearest_refs(x, refs), expected)
+
+
+def test_float32_case_spans_several_blocks():
+    x, refs = _float32_classes_case()
+    assert x.dtype == np.float32 and len(refs) == 1000
+    assert len(x) > 2 * _block_rows(len(refs))
+
+
+def test_offset_ties_case_needs_the_refine():
+    x, refs = _offset_ties_case()
+    d = np.sort(cdist(x, refs, "sqeuclidean"), axis=1)
+    assert (d[:, 0] == d[:, 1]).all()
+    s, _, _ = _screen(x, refs)
+    assert not np.array_equal(np.argmin(s, axis=1),
+                              np.argmin(cdist(x, refs, "sqeuclidean"), axis=1))
+
+
+def test_overflow_rows_have_no_finite_screen():
+    for case in (_overflow_rows_case, _overflow_ties_case):
+        x, refs = case()
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.einsum("ij,ij->i", x, x)).any()
+
+
+@pytest.mark.parametrize("case", sorted(NEAREST_CASES))
+def test_cdist_value_does_not_depend_on_the_rest_of_the_call(case):
+    # nearest_refs re-runs cdist on a subset of rows and columns and relies on
+    # each pair getting the bits it gets in the full call.
+    x, refs = NEAREST_CASES[case]()
+    full = cdist(x, refs, "sqeuclidean")
+    rng = np.random.default_rng(7)
+    rows = np.sort(rng.choice(len(x), size=min(len(x), 9), replace=False))
+    cols = np.sort(rng.choice(len(refs), size=min(len(refs), 5), replace=False))
+    np.testing.assert_array_equal(cdist(x[rows], refs[cols], "sqeuclidean"),
+                                  full[np.ix_(rows, cols)])
+    np.testing.assert_array_equal(cdist(x[rows[-1:]], refs[cols[:1]], "sqeuclidean"),
+                                  full[rows[-1:], cols[:1]][:, None])
+
+
+@pytest.mark.parametrize("p", [1, 2, 64, 512, 10**6])
+def test_screen_slack_is_at_least_the_derived_bound(p):
+    # |screen - cdist| <= 4 gamma_{p+2} (|x|^2 + max |r|^2), gamma_n = n u / (1 - n u)
+    u = 2.0**-53
+    xx, rr_max = np.array([0.0, 1.0, 3.5e7, 1e300]), 2.0
+    bound = 4 * (p + 2) * u / (1 - (p + 2) * u) * (xx + rr_max)
+    assert (_screen_slack(xx, rr_max, p) >= bound).all()
+
+
+@pytest.mark.parametrize("case", FINITE_CASES)
+def test_screen_slack_covers_the_observed_error(case):
+    x, refs = NEAREST_CASES[case]()
+    s, xx, rr = _screen(x, refs)
+    slack = _screen_slack(xx, rr.max(), x.shape[1])
+    assert (np.abs(s - cdist(x, refs, "sqeuclidean")) <= slack[:, None]).all()
+
+
+def test_nearest_refs_edge_shapes():
+    refs = np.array([[0.0, 1.0], [2.0, 3.0]])
+    assert nearest_refs(np.zeros((0, 2)), refs).shape == (0,)
+    assert nearest_refs(np.ones((3, 2)), refs[:1]).tolist() == [0, 0, 0]
+    with pytest.raises(ValueError, match="at least one reference point"):
+        nearest_refs(np.ones((3, 2)), np.zeros((0, 2)))

@@ -453,3 +453,23 @@ class TestZeroCountBinaryHeaders:
         with pytest.raises(ValueError, match="no classes"):
             write_head(head, tmp_path / "h.bin")
         assert not (tmp_path / "h.bin").exists()
+
+
+class TestZeroLabelMatrix:
+    EMPTY = DistanceMatrix(labels=[], values=np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("name", ["d.bin", "d.csv"])
+    def test_writer_refuses(self, tmp_path, name):
+        with pytest.raises(ValueError, match="cannot write a matrix with no labels"):
+            write_distance_matrix(self.EMPTY, tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("content", [DMAT_MAGIC + np.zeros(1, dtype="<u8").tobytes(),
+                                         b",\n", b",", b"\n", b"\n\n"],
+                             ids=["binary", "csv_comma", "csv_comma_no_newline",
+                                  "csv_empty_header", "csv_empty_header_blank_row"])
+    def test_reader_rejects(self, tmp_path, content):
+        path = tmp_path / "d.csv"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=r"d\.csv: matrix has no labels"):
+            read_distance_matrix(path)
