@@ -59,7 +59,8 @@ class ClassStats:
         for name, m in (("sigma_w", self.sigma_w), ("sigma_b", self.sigma_b)):
             if m.shape != (p, p):
                 raise ValueError(f"{name} must be {p}x{p}")
-            if not np.allclose(m, m.T, atol=1e-10 * max(1.0, float(np.abs(m).max()))):
+            if not (np.array_equal(m, m.T)
+                    or np.allclose(m, m.T, atol=1e-10 * max(1.0, float(np.abs(m).max())))):
                 raise ValueError(f"{name} is not symmetric")
 
     @property

@@ -22,7 +22,6 @@ from scipy.sparse.csgraph import shortest_path
 __all__ = [
     "DistanceMatrix",
     "Hierarchy",
-    "dfs_leaf_order",
     "graph_distance_matrix",
     "hypernym_of",
     "iter_lines",
@@ -243,28 +242,6 @@ def graph_distance_matrix(h: Hierarchy, classes: Iterable[int] | None = None) ->
         i, j = unreachable[0]
         raise ValueError(f"no path between class {labels[i]} and class {labels[j]}")
     return DistanceMatrix(labels=labels, values=values)
-
-
-def dfs_leaf_order(h: Hierarchy) -> list[int]:
-    """Class indices in depth-first order, children visited in edge-file order.
-
-    Sibling classes end up consecutive, which is what makes hierarchy-ordered
-    confusion matrices block-diagonal.  Requires a tree.
-    """
-    if not h.is_tree:
-        raise ValueError("dfs_leaf_order requires a tree (some node has two parents)")
-    order: list[int] = []
-    visited: set[str] = set()
-    stack: list[str] = list(reversed(h.roots))
-    while stack:
-        node = stack.pop()
-        if node in visited:
-            continue
-        visited.add(node)
-        if node in h.node_to_class:
-            order.append(h.node_to_class[node])
-        stack.extend(reversed(h.children[node]))
-    return order
 
 
 def hypernym_of(h: Hierarchy, class_index: int, targets: Iterable[str]) -> str:

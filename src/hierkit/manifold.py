@@ -9,8 +9,10 @@ the cophenetic correlation coefficient.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -25,7 +27,7 @@ __all__ = [
     "ccc",
     "cover_similarity",
     "cover_stats",
-    "min_sq_distance_blocks",
+    "min_sq_distances",
     "nearest_refs",
     "split_query_support",
     "to_distance_matrix",
@@ -144,17 +146,41 @@ def split_query_support(f: FeatureSet, cfg: CoverConfig) -> tuple[FeatureSet, Fe
     return query, support
 
 
-def min_sq_distance_blocks(x: np.ndarray, refs: np.ndarray,
-                           starts: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, block): block[i, g] is the minimum squared Euclidean distance from
-    x[lo + i] to the non-empty group refs[starts[g]:starts[g + 1]] (the last runs to
-    the end), in float64, in row blocks of about 2**22 distances (32 MB).
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the worker count of the cover minima."""
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The (n, G) float64 array whose [i, g] is the minimum squared Euclidean
+    distance from x[i] to the non-empty group refs[starts[g]:starts[g + 1]] (the
+    last runs to the end).
+
+    Row blocks run on one thread per usable CPU, never more threads than blocks.
+    ``cdist`` releases the GIL and each of its values does not depend on the rest
+    of the call, so the result is bit for bit the serial one.  The blocks in
+    flight hold about 2**22 distances (32 MB) together.
     """
     x, refs = x.astype(np.float64, copy=False), refs.astype(np.float64, copy=False)
-    rows = _block_rows(refs.shape[0])
-    for lo in range(0, x.shape[0], rows):
-        d = cdist(x[lo:lo + rows], refs, "sqeuclidean")
-        yield lo, d if len(starts) == len(refs) else np.minimum.reduceat(d, starts, axis=1)
+    out = np.empty((x.shape[0], len(starts)))
+    cpus = _usable_cpus()
+    rows = max(1, _block_rows(refs.shape[0]) // cpus)
+    grouped = len(starts) != len(refs)
+
+    def fill(lo: int) -> None:
+        block = out[lo:lo + rows]
+        if grouped:
+            np.minimum.reduceat(cdist(x[lo:lo + rows], refs, "sqeuclidean"), starts,
+                                axis=1, out=block)
+        else:
+            cdist(x[lo:lo + rows], refs, "sqeuclidean", out=block)
+
+    blocks = range(0, x.shape[0], rows)
+    with ThreadPoolExecutor(max_workers=max(1, min(cpus, len(blocks)))) as pool:
+        list(pool.map(fill, blocks))
+    return out
 
 
 def _block_rows(n_refs: int) -> int:
@@ -193,8 +219,8 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Index of the nearest row of ``refs`` for each row of ``x``.
 
     Bit for bit ``argmin(cdist(x, refs, "sqeuclidean"), axis=1)``: ties go to the
-    lower index.  Works in float64, in the row blocks of
-    :func:`min_sq_distance_blocks`.  A GEMM screen keeps, per row, the refs within
+    lower index.  Works in float64, in row blocks of about 2**22 distances
+    (:func:`_block_rows`).  A GEMM screen keeps, per row, the refs within
     twice the rounding bound E (:func:`_screen_slack`) of the row's screened
     minimum; the cdist winner j is always kept, since s_j <= c_j + E <= c_k + E
     <= s_k + 2E for every k.  A row left with one candidate takes it; the others,
@@ -252,9 +278,8 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
         raise ValueError("query and support label sets differ")
     order = np.argsort(support.labels, kind="stable")
     starts = np.searchsorted(support.labels[order], classes)
-    mins = np.empty((len(query), classes.size))
-    for lo, block in min_sq_distance_blocks(query.vectors, support.vectors[order], starts):
-        np.sqrt(block, out=mins[lo:lo + len(block)])
+    mins = min_sq_distances(query.vectors, support.vectors[order], starts)
+    np.sqrt(mins, out=mins)
     r_max = cfg.r_max if cfg.r_max is not None else float(mins.max())
     if not r_max > 0:
         raise ValueError(f"r_max must be > 0, got {r_max}")
@@ -269,11 +294,54 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
             values[i] = contrib[rows].mean(axis=0)
     else:
         grid = np.linspace(0.0, r_max, cfg.grid_points)
-        for i, c in enumerate(classes):
-            rows = mins[query.labels == c]               # (n_i, n)
-            p_r = (rows[:, :, None] < grid).mean(axis=0)  # (n, grid_points)
-            values[i] = np.trapezoid(p_r, grid, axis=-1) / r_max
+        _, counts = np.unique(query.labels, return_counts=True)
+        m = int(counts[0])
+        if (counts == m).all() and (grid.size + 1) ** m <= 2**63:
+            values = _grid_integrals_by_pattern(mins, query.labels, grid, m) / r_max
+        else:
+            for i, c in enumerate(classes):
+                rows = mins[query.labels == c]               # (n_i, n)
+                p_r = (rows[:, :, None] < grid).mean(axis=0)  # (n, grid_points)
+                values[i] = np.trapezoid(p_r, grid, axis=-1) / r_max
     return SimilarityMatrix(labels=list(classes), values=values, r_max=r_max)
+
+
+def _grid_integrals_by_pattern(mins: np.ndarray, labels: np.ndarray, grid: np.ndarray,
+                               m: int) -> np.ndarray:
+    """The (C, n) trapezoid integrals of P_r over ``grid`` when each of the C
+    classes has exactly m query rows in ``mins`` (one column per support class).
+
+    P_r at grid[g] is the share of a class's m distances d with d < grid[g], that
+    is with searchsorted(grid, d, side="right") <= g.  So the m sorted step
+    indices fix a pair's curve; they are packed into one int64 key in base
+    len(grid) + 1 (the caller checks that (len(grid) + 1) ** m fits), and the
+    integral runs once per distinct key.  It is the same per-row trapezoid of
+    count / m, which equals the loop's boolean mean, so every bit matches.
+    Keys and integrals are built in chunks of about 2**18 entries.
+    """
+    base = grid.size + 1
+    rows = np.argsort(labels, kind="stable")     # grouped by class, as in np.unique
+    n_classes, n = len(rows) // m, mins.shape[1]
+    keys = np.empty((n_classes, n), dtype=np.int64)
+    step = max(1, 2**18 // (m * n))
+    for lo in range(0, n_classes, step):
+        idx = np.searchsorted(grid, mins[rows[lo * m:(lo + step) * m]], side="right")
+        idx = np.sort(idx.reshape(-1, m, n), axis=1)
+        key = keys[lo:lo + step]
+        key[:] = idx[:, 0]
+        for t in range(1, m):
+            key *= base
+            key += idx[:, t]
+    patterns, inverse = np.unique(keys.ravel(), return_inverse=True)
+    place = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    g = np.arange(grid.size)
+    integrals = np.empty(patterns.size)
+    step = max(1, 2**18 // grid.size)
+    for lo in range(0, patterns.size, step):
+        idx = patterns[lo:lo + step, None] // place % base        # (patterns, m)
+        count = np.count_nonzero(idx[:, :, None] <= g, axis=1)  # (patterns, grid)
+        integrals[lo:lo + step] = np.trapezoid(count / m, grid, axis=-1)
+    return integrals[inverse].reshape(n_classes, n)
 
 
 def to_distance_matrix(a: SimilarityMatrix) -> DistanceMatrix:

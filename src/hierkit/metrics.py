@@ -23,7 +23,6 @@ __all__ = [
     "baseline",
     "confusion_matrix",
     "convergence_epoch",
-    "empirical_priors",
     "relative_accuracy",
     "relative_gain",
     "residual_error",
@@ -237,11 +236,3 @@ def confusion_matrix(log: PredictionLog, order) -> ConfusionMatrix:
     np.add.at(counts, (pos[log.true_labels], pos[log.pred_labels]), 1)
     return ConfusionMatrix(order=order, counts=counts)
 
-
-def empirical_priors(log: PredictionLog) -> np.ndarray:
-    """Class frequencies of true labels in the log's first epoch."""
-    if len(log) == 0:
-        raise ValueError("cannot estimate priors from an empty log")
-    first = log.at_epoch(int(log.epoch_values()[0]))
-    counts = np.bincount(first.true_labels, minlength=log.label_count)
-    return counts / counts.sum()

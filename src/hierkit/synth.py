@@ -281,13 +281,16 @@ def ncc_prediction_log(feature_sets) -> PredictionLog:
         raise ValueError("need at least one feature set")
     c = feature_sets[0].class_count
     ep_parts, id_parts, true_parts, pred_parts = [], [], [], []
+    ids: dict[int, np.ndarray] = {}
     for i, f in enumerate(feature_sets):
         if f.class_count != c:
             raise ValueError("feature sets disagree on class_count")
         epoch = f.epoch if f.epoch is not None else i + 1
         pred = nearest_mean_labels(f, class_statistics(f))
         ep_parts.append(np.full(len(f), int(epoch), dtype=np.int64))
-        id_parts.append(np.array([f"e{j}" for j in range(len(f))]))
+        if len(f) not in ids:
+            ids[len(f)] = np.array([f"e{j}" for j in range(len(f))])
+        id_parts.append(ids[len(f)])
         true_parts.append(f.labels)
         pred_parts.append(pred)
     return PredictionLog(epochs=np.concatenate(ep_parts),

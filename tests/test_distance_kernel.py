@@ -1,17 +1,20 @@
-"""The blocked nearest-distance kernel against a direct, unblocked cdist.
+"""The blocked nearest-distance kernels against a direct, unblocked cdist.
 
 Both feature-space callers (mutual-cover minima and the nearest-class-centre
 readout) must match the reference bit for bit, including exact ties, which
-go to the lower index.
+go to the lower index.  So must the cover's grid integral, computed once per
+step pattern, against the per-class loop.
 """
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import hierkit.manifold as manifold
 from hierkit.collapse import ClassStats, nearest_mean_labels
-from hierkit.manifold import (CoverConfig, FeatureSet, _block_rows, _screen_slack,
-                              cover_similarity, min_sq_distance_blocks, nearest_refs)
+from hierkit.manifold import (CoverConfig, FeatureSet, _block_rows,
+                              _grid_integrals_by_pattern, _screen_slack, cover_similarity,
+                              min_sq_distances, nearest_refs)
 
 
 def _etf_case():
@@ -52,10 +55,30 @@ CASES = {"etf_ties": _etf_case, "duplicates": _duplicates_case,
          "offset_gaussian": _offset_gaussian_case, "multi_block": _multi_block_case}
 
 
-def test_multi_block_case_spans_three_blocks():
+def _cdist_rows(monkeypatch, workers, x, refs, starts):
+    """Row count of every cdist call that min_sq_distances makes with ``workers``."""
+    calls = []
+
+    def recording(xa, *args, **kwargs):
+        calls.append(len(xa))
+        return cdist(xa, *args, **kwargs)
+
+    monkeypatch.setattr(manifold, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(manifold, "cdist", recording)
+    min_sq_distances(x, refs, starts)
+    return calls
+
+
+def test_multi_block_case_spans_three_blocks(monkeypatch):
     x, refs = _multi_block_case()
-    offsets = [lo for lo, _ in min_sq_distance_blocks(x, refs, np.arange(len(refs)))]
+    calls = _cdist_rows(monkeypatch, 1, x, refs, np.arange(len(refs)))
+    offsets = list(np.cumsum([0] + calls[:-1]))
     assert offsets == [0, 64, 128]
+    # w workers split the 2**22-distance budget, so about 2**22 are in flight
+    for workers, rows in ((2, 32), (3, 21)):
+        calls = _cdist_rows(monkeypatch, workers, x, refs, np.arange(len(refs)))
+        assert rows == _block_rows(len(refs)) // workers
+        assert sorted(calls, reverse=True) == [rows] * (len(x) // rows) + [len(x) % rows]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -89,7 +112,7 @@ def test_cover_minima_and_values_match_cdist(case):
 
     order = np.argsort(ref_labels, kind="stable")
     starts = np.searchsorted(ref_labels[order], classes)
-    got = np.vstack([np.sqrt(b) for _, b in min_sq_distance_blocks(x, refs[order], starts)])
+    got = np.sqrt(min_sq_distances(x, refs[order], starts))
     assert np.array_equal(got, expected)
 
     sim = cover_similarity(query, support, CoverConfig(k=1, method="exact"))
@@ -98,6 +121,94 @@ def test_cover_minima_and_values_match_cdist(case):
     values = np.stack([contrib[query.labels == cc].mean(axis=0) for cc in classes])
     assert sim.r_max == r_max
     assert np.array_equal(sim.values, values)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pooled_minima_match_serial_cdist(monkeypatch, case, workers):
+    # The small cases make one block, so 2 and 3 workers exceed the blocks.
+    x, refs = CASES[case]()
+    monkeypatch.setattr(manifold, "_usable_cpus", lambda: workers)
+    d = cdist(x, refs, "sqeuclidean")
+    assert np.array_equal(min_sq_distances(x, refs, np.arange(len(refs))), d)
+    starts = np.unique(np.r_[0, np.random.default_rng(9).integers(1, len(refs), 5)])
+    assert np.array_equal(min_sq_distances(x, refs, starts),
+                          np.minimum.reduceat(d, starts, axis=1))
+
+
+# --------------------------------------------- cover grid integral per pattern
+
+def _loop_grid_values(mins, labels, grid, r_max):
+    """The per-class loop of the grid cover: the reference for the pattern path."""
+    classes = np.unique(labels)
+    values = np.empty((classes.size, mins.shape[1]))
+    for i, c in enumerate(classes):
+        rows = mins[labels == c]
+        p_r = (rows[:, :, None] < grid).mean(axis=0)
+        values[i] = np.trapezoid(p_r, grid, axis=-1) / r_max
+    return values
+
+
+def _grid_case(n_classes, m, n_support, grid_points, seed):
+    # Shuffled class rows; a third of the distances sit exactly on grid
+    # points, and r_max lies below the largest tenth of the distances.
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(n_classes), m))
+    mins = rng.gamma(4.0, size=(len(labels), n_support))
+    r_max = float(np.quantile(mins, 0.9))
+    grid = np.linspace(0.0, r_max, grid_points)
+    on_grid = rng.random(mins.shape) < 1 / 3
+    mins[on_grid] = grid[rng.integers(0, grid_points, on_grid.sum())]
+    return mins, labels, grid, r_max
+
+
+@pytest.mark.parametrize("n_classes, m, n_support, grid_points",
+                         [(320, 3, 320, 200), (40, 5, 60, 7), (25, 1, 30, 200), (12, 2, 9, 2)])
+def test_pattern_integral_matches_the_loop(n_classes, m, n_support, grid_points):
+    # (320, 3, 320) builds its keys in two chunks of classes and integrates
+    # its patterns in several chunks.
+    mins, labels, grid, r_max = _grid_case(n_classes, m, n_support, grid_points, seed=m)
+    assert (mins > r_max).any() and np.isin(mins, grid).any()
+    got = _grid_integrals_by_pattern(mins, labels, grid, m) / r_max
+    assert np.array_equal(got, _loop_grid_values(mins, labels, grid, r_max))
+
+
+def _cover_inputs(counts, p=6, seed=10):
+    """Query with counts[c] rows of class c, support with 2 rows per class."""
+    rng = np.random.default_rng(seed)
+    c = len(counts)
+    q_labels = rng.permutation(np.repeat(np.arange(c), counts))
+    s_labels = rng.permutation(np.repeat(np.arange(c), 2))
+    query = FeatureSet(rng.standard_normal((len(q_labels), p)), q_labels, c)
+    support = FeatureSet(rng.standard_normal((len(s_labels), p)), s_labels, c)
+    mins = np.stack([cdist(query.vectors, support.vectors[s_labels == cc]).min(axis=1)
+                     for cc in range(c)], axis=1)
+    return query, support, mins
+
+
+@pytest.mark.parametrize("counts, grid_points, pattern_path", [
+    ([4] * 9, 50, True),
+    ([3, 4, 3, 5, 3, 1], 50, False),   # unequal class counts
+    ([10] * 5, 800, False),            # 801**10 overflows int64
+])
+def test_cover_similarity_grid_takes_the_right_path(monkeypatch, counts, grid_points,
+                                                    pattern_path):
+    query, support, mins = _cover_inputs(counts)
+    for r_max in (None, float(np.median(mins))):
+        taken = []
+
+        def spy(*args):
+            taken.append(True)
+            return _grid_integrals_by_pattern(*args)
+
+        monkeypatch.setattr(manifold, "_grid_integrals_by_pattern", spy)
+        sim = cover_similarity(query, support,
+                               CoverConfig(k=1, r_max=r_max, grid_points=grid_points))
+        used = r_max if r_max is not None else float(mins.max())
+        grid = np.linspace(0.0, used, grid_points)
+        assert bool(taken) == pattern_path
+        assert sim.r_max == used
+        assert np.array_equal(sim.values, _loop_grid_values(mins, query.labels, grid, used))
 
 
 # ------------------------------------------------- nearest_refs: screen + refine

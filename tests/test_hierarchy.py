@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hierkit.hierarchy import (DistanceMatrix, dfs_leaf_order,
-                               graph_distance_matrix, hypernym_of,
+from hierkit.hierarchy import (DistanceMatrix, graph_distance_matrix, hypernym_of,
                                parse_hierarchy)
 
 from _helpers import animals_hierarchy
@@ -143,36 +142,6 @@ class TestDistanceMatrixValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             DistanceMatrix(labels=[0, 1], values=np.array([[0.0, -1.0], [-1.0, 0.0]]))
-
-
-class TestDfsLeafOrder:
-    def test_edge_file_order(self):
-        edges = ["root\tanimal", "root\tartifact",
-                 "animal\tcat", "animal\tdog", "artifact\tcar"]
-        classes = ["0\tcat", "1\tdog", "2\tcar"]
-        h = parse_hierarchy(edges, classes)
-        assert dfs_leaf_order(h) == [0, 1, 2]
-
-    def test_swapped_root_children_move_blocks(self):
-        edges = ["root\tartifact", "root\tanimal",
-                 "animal\tcat", "animal\tdog", "artifact\tcar"]
-        classes = ["0\tcat", "1\tdog", "2\tcar"]
-        h = parse_hierarchy(edges, classes)
-        assert dfs_leaf_order(h) == [2, 0, 1]
-
-    def test_single_leaf(self):
-        h = parse_hierarchy(["root\ta"], ["0\ta"])
-        assert dfs_leaf_order(h) == [0]
-
-    def test_requires_tree(self):
-        h = parse_hierarchy(["r\tx", "s\tx", "x\tleaf"], ["0\tleaf"])
-        with pytest.raises(ValueError, match="requires a tree"):
-            dfs_leaf_order(h)
-
-    def test_siblings_contiguous(self):
-        h = animals_hierarchy()
-        order = dfs_leaf_order(h)
-        assert order == [0, 1, 2, 3, 4, 5]
 
 
 class TestHypernymOf:

@@ -4,8 +4,8 @@ import pytest
 from hierkit.labelspace import LabelSpace, hyponym_space, project_log
 from hierkit.metrics import (ConfusionMatrix, MetricSeries, PredictionLog,
                              accuracy_series, baseline, confusion_matrix,
-                             convergence_epoch, empirical_priors,
-                             relative_accuracy, relative_gain, residual_error,
+                             convergence_epoch, relative_accuracy,
+                             relative_gain, residual_error,
                              theoretical_superclass_accuracy)
 
 
@@ -228,19 +228,6 @@ class TestConfusionMatrix:
         log = _log([1], [0], [0], 2)
         with pytest.raises(ValueError, match="permutation"):
             confusion_matrix(log, order=[0, 0])
-
-
-class TestEmpiricalPriors:
-    def test_first_epoch_frequencies(self):
-        log = _log([1, 1, 1, 2], [0, 0, 1, 1], [0, 0, 1, 1], 2)
-        priors = empirical_priors(log)
-        np.testing.assert_allclose(priors, [2 / 3, 1 / 3])
-        assert priors.sum() == pytest.approx(1.0)
-
-    def test_feeds_baseline(self):
-        log = _log([1, 1], [0, 1], [0, 1], 2)
-        space = _sized_space([1, 1])
-        assert baseline(space, priors=empirical_priors(log)) == pytest.approx(0.5)
 
 
 class TestMetricSeries:
