@@ -99,11 +99,13 @@ def _cmd_labelspace_random(args, out: Path) -> None:
 
 def _curve_spaces(args, log):
     """(tag, space, projected log) for hyponym, named, and random spaces."""
+    named = read_labelspace(args.labelspace) if args.labelspace else None
+    # projected first, so a partition mismatch fails before the hyponym space
+    # (one superclass per label of the log) is built
+    projected = None if named is None else project_log(log, named)
     entries = [("hyponym", hyponym_space(log.label_count), log)]
-    named = None
-    if args.labelspace:
-        named = read_labelspace(args.labelspace)
-        entries.append((_safe_name(named.name), named, project_log(log, named)))
+    if named is not None:
+        entries.append((_safe_name(named.name), named, projected))
     if getattr(args, "random_iso", False):
         if named is None:
             raise _UsageError("--random-iso requires --labelspace")
@@ -371,7 +373,7 @@ def run(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -25,6 +25,7 @@ __all__ = [
     "graph_distance_matrix",
     "hypernym_of",
     "iter_lines",
+    "open_text",
     "parse_hierarchy",
 ]
 
@@ -85,6 +86,33 @@ class Hierarchy:
         return [n for n in self.nodes if not self.parents.get(n)]
 
 
+@contextmanager
+def open_text(path):
+    """Open ``path`` for reading as UTF-8 text.
+
+    A byte that is not valid UTF-8 raises a ValueError naming ``path`` and the
+    line of the first such byte, counted as text mode counts lines.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise ValueError(_invalid_utf8(path)) from None
+
+
+def _invalid_utf8(path) -> str:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = raw[:e.start]
+        # text mode ends a line at "\n", "\r\n" or a lone "\r"
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        return f"{path}:{line}: invalid UTF-8 byte 0x{raw[e.start]:02x}"
+    return f"{path}: invalid UTF-8"  # the file changed after the failed read
+
+
 def iter_lines(source, default_name: str) -> Iterator[tuple[str, int, str]]:
     """Yield (source_name, line_number, content), skipping blanks and # comments.
 
@@ -93,7 +121,7 @@ def iter_lines(source, default_name: str) -> Iterator[tuple[str, int, str]]:
     """
     is_path = isinstance(source, (str, bytes, os.PathLike))
     name = str(source) if is_path else default_name
-    with open(source, "r", encoding="utf-8") if is_path else nullcontext(source) as fh:
+    with open_text(source) if is_path else nullcontext(source) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -9,8 +9,16 @@ binary.  Every CSV file is one dialect, written by `write_csv` and read by
 fields as the header; empty lines are skipped but keep their line numbers.
 Numbers are formatted locale-independently, so identical inputs give
 byte-identical files on any machine.  Readers validate strictly: wrong magic,
-truncated or trailing payload, non-finite values and out-of-range labels are
-all errors.
+truncated or trailing payload, invalid UTF-8, non-finite values and
+out-of-range labels are all errors, named by path and, in CSV, by line.
+
+Prediction logs have two readers.  A log in the canonical subset of the
+dialect -- the exact header, printable-ASCII lines each ended by `\\n` with
+three commas, epoch and labels of 1-18 ASCII digits, epochs >= 1, no duplicate
+(epoch, example_id) -- is parsed column-wise in numpy.  Any other file is read
+again from the start by the row loop, which alone reports errors and keeps
+`int()`'s leniency (`+5`, ` 5`, `1_0`, non-ASCII digits, `\\r\\n`, blank lines,
+no final newline).
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .collapse import ClassifierHead, NCReport
-from .hierarchy import DistanceMatrix
+from .hierarchy import DistanceMatrix, open_text
 from .manifold import FeatureSet, SimilarityMatrix
 from .metrics import ConfusionMatrix, MetricSeries, PredictionLog
 
@@ -169,7 +177,7 @@ def read_features(path) -> FeatureSet:
 
 
 def _read_features_csv(path, head: bytes) -> FeatureSet:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         cols = _csv_header(fh)
         if cols[0] != "label" or len(cols) < 2 or \
                 any(c != f"f{i}" for i, c in enumerate(cols[1:])):
@@ -226,7 +234,7 @@ def read_distance_matrix(path) -> DistanceMatrix:
             return DistanceMatrix(labels=list(range(n)), values=data.reshape(n, n).copy())
         if head in _KNOWN:
             _check_magic(head, DMAT_MAGIC, path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = _csv_header(fh)
         if header[0] != "":
             raise ValueError(f"{path}: unknown format (magic {head!r}, expected "
@@ -280,14 +288,20 @@ def read_head(path) -> ClassifierHead:
 # ------------------------------------------------------------- predictions
 
 _PRED_HEADER = ["epoch", "example_id", "true_label", "pred_label"]
+_PRED_HEADER_LINE = (",".join(_PRED_HEADER) + "\n").encode()
 
 
 def write_predictions(log: PredictionLog, path) -> None:
-    """Write a prediction log CSV; refuses ids that read_predictions would split."""
-    ids = log.example_ids.astype(str, copy=False)
-    bad = np.flatnonzero(np.any([np.strings.find(ids, ch) >= 0 for ch in ",\n\r"], axis=0))
+    """Write a prediction log CSV; refuses ids that read_predictions would reject."""
+    ids = np.ascontiguousarray(log.example_ids.astype(str, copy=False))
+    units = ids.view(np.uint32).reshape(len(ids), ids.itemsize // 4)
+    # np.strings.find cannot look for NUL: an id holds one where a zero code
+    # point has a non-zero one after it (trailing NULs are the dtype's padding)
+    nul = ((units[:, :-1] == 0) & (units[:, 1:] != 0)).any(axis=1)
+    bad = np.flatnonzero(nul | np.any([np.strings.find(ids, ch) >= 0 for ch in ",\n\r"], axis=0))
     if bad.size:
-        raise ValueError(f"example_id {str(ids[bad[0]])!r} contains a comma or a line break")
+        raise ValueError(f"example_id {str(ids[bad[0]])!r} contains a comma, a line break "
+                         f"or a NUL")
     columns = (log.epochs.tolist(), log.example_ids.tolist(), log.true_labels.tolist(),
                log.pred_labels.tolist())
     write_csv(path, ",".join(_PRED_HEADER), (f"{e},{x},{t},{p}" for e, x, t, p in zip(*columns)))
@@ -297,10 +311,97 @@ def read_predictions(path, label_count: Optional[int] = None) -> PredictionLog:
     """Read a prediction log CSV.
 
     Rejects a missing/renamed header column, non-integer epochs, negative or
-    (when label_count is given) out-of-range labels, and duplicate
-    (epoch, example_id) pairs, reporting row numbers.
+    (when label_count is given) out-of-range labels, ids containing a NUL,
+    and duplicate (epoch, example_id) pairs, reporting row numbers.
+
+    A log in the canonical subset named in the module docstring, which is
+    what :func:`write_predictions` gives for ASCII ids, is parsed column-wise
+    in numpy.  Any other file, every malformed one included, is read again
+    from the start by the row loop, the only code that reports errors; the
+    two give identical arrays wherever both accept a file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    columns = _columnar_predictions(path)
+    if columns is None:
+        columns = _looped_predictions(path)
+    epochs, ids, true, pred = columns
+    inferred = int(max(true.max(), pred.max())) + 1
+    if label_count is None:
+        label_count = inferred
+    elif inferred > label_count:
+        raise ValueError(f"{path}: label {inferred - 1} >= label count {label_count}")
+    return PredictionLog(epochs=epochs, example_ids=ids, true_labels=true, pred_labels=pred,
+                         label_count=label_count)
+
+
+def _columnar_predictions(path):
+    """(epochs, ids, true, pred) of a log in the canonical subset, else None.
+
+    The subset is the one the module docstring names; 18 digits cannot
+    overflow int64.  The ids get the dtype ``np.array`` gives the same strings.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.startswith(_PRED_HEADER_LINE) or len(raw) == len(_PRED_HEADER_LINE) \
+            or raw[-1:] != b"\n":
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8, offset=len(_PRED_HEADER_LINE))
+    ends = np.flatnonzero(b == ord("\n"))
+    # bytes outside 0x20-0x7E wrap past 0x5E; the line ends must be the only ones
+    if np.count_nonzero(b - np.uint8(0x20) > 0x5E) != ends.size:
+        return None
+    n = ends.size
+    commas = np.flatnonzero(b == ord(","))
+    if commas.size != 3 * n:
+        return None
+    commas = commas.reshape(n, 3)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # 3n commas in all: epoch and pred fields at least 1 wide put the i-th
+    # three inside line i, so every line has exactly 3
+    epochs = _digit_field(b, starts, commas[:, 0])
+    true = _digit_field(b, commas[:, 1] + 1, commas[:, 2])
+    pred = _digit_field(b, commas[:, 2] + 1, ends)
+    if epochs is None or true is None or pred is None or epochs.min() < 1:
+        return None
+    lo, width = commas[:, 0] + 1, commas[:, 1] - commas[:, 0] - 1
+    w = max(1, int(width.max()))
+    # NUL-padded id bytes in 8-byte words: no id holds a NUL, so equal words
+    # are equal ids
+    padded = np.zeros((n, -(-w // 8) * 8), dtype=np.uint8)
+    for j in range(int(width.max())):
+        live = width > j
+        padded[live, j] = b[lo[live] + j]
+    words = padded.view(np.uint64)
+    order = np.lexsort((*words.T[::-1], epochs))
+    same = np.diff(epochs[order]) == 0
+    for col in words.T:
+        same &= np.diff(col[order]) == 0
+    if same.any():
+        return None
+    # ASCII bytes are their own code points
+    ids = padded[:, :w].astype(np.uint32).view(f"U{w}").ravel()
+    return epochs, ids, true, pred
+
+
+def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
+    """int64 values of the fields ``b[lo:hi]``, or None unless each is 1-18 ASCII digits."""
+    width = hi - lo
+    if width.min() < 1 or width.max() > 18:
+        return None
+    zero = np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    value = (b[hi - 1] - zero).astype(np.int64)
+    if (value > 9).any():
+        return None
+    for k in range(1, int(width.max())):  # the k-th digit from the right
+        digit = np.where(width > k, b[np.maximum(hi - 1 - k, 0)] - zero, 0)
+        if (digit > 9).any():
+            return None
+        value += digit * np.int64(10**k)
+    return value
+
+
+def _looped_predictions(path):
+    """(epochs, ids, true, pred) read row by row; raises on any malformed input."""
+    with open_text(path) as fh:
         header = _csv_header(fh)
         for col in _PRED_HEADER:
             if col not in header:
@@ -322,6 +423,8 @@ def read_predictions(path, label_count: Optional[int] = None) -> PredictionLog:
                 raise ValueError(f"{path}:{lineno}: non-integer label") from None
             if t < 0 or pr < 0:
                 raise ValueError(f"{path}:{lineno}: negative label")
+            if "\x00" in parts[1]:
+                raise ValueError(f"{path}:{lineno}: example_id contains a NUL")
             key = (e, parts[1])
             if key in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate (epoch, example_id) "
@@ -339,13 +442,7 @@ def read_predictions(path, label_count: Optional[int] = None) -> PredictionLog:
         i = next(i for i, row in enumerate(zip(epochs, true, pred)) if max(row) not in _INT64)
         raise ValueError(f"{path}:{seen[epochs[i], ids[i]]}: integer field does not fit "
                          f"in int64") from None
-    inferred = int(max(columns[1].max(), columns[2].max())) + 1
-    if label_count is None:
-        label_count = inferred
-    elif inferred > label_count:
-        raise ValueError(f"{path}: label {inferred - 1} >= label count {label_count}")
-    return PredictionLog(epochs=columns[0], example_ids=np.array(ids), true_labels=columns[1],
-                         pred_labels=columns[2], label_count=label_count)
+    return columns[0], np.array(ids), columns[1], columns[2]
 
 
 # ----------------------------------------------------------------- tables

@@ -227,12 +227,14 @@ def confusion_matrix(log: PredictionLog, order) -> ConfusionMatrix:
     if log.epoch_values().size != 1:
         raise ValueError("confusion_matrix expects a single-epoch log slice; "
                          "use PredictionLog.at_epoch first")
+    # allocated before any per-label list, so a label count too large to hold
+    # fails here at once instead of after building a list of that length
+    counts = np.zeros((log.label_count, log.label_count), dtype=np.int64)
     order = [int(x) for x in order]
     if sorted(order) != list(range(log.label_count)):
         raise ValueError(f"order must be a permutation of 0..{log.label_count - 1}")
     pos = np.empty(log.label_count, dtype=np.int64)
     pos[np.asarray(order)] = np.arange(log.label_count)
-    counts = np.zeros((log.label_count, log.label_count), dtype=np.int64)
     np.add.at(counts, (pos[log.true_labels], pos[log.pred_labels]), 1)
     return ConfusionMatrix(order=order, counts=counts)
 

@@ -356,7 +356,7 @@ class TestHeaderClaimsCheckedAgainstFileSize:
 
 
 class TestPredictionIdsRefused:
-    @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb", "a\x00b"])
     def test_writer_refuses_what_reader_rejects(self, tmp_path, bad):
         log = PredictionLog(epochs=[1, 1], example_ids=["ok", bad],
                             true_labels=[0, 1], pred_labels=[0, 1], label_count=2)

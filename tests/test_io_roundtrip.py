@@ -50,7 +50,7 @@ def heads(draw):
                           bias=draw(arrays(np.float32, c, elements=_f32)))
 
 
-_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"),
+_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r\x00"),
                max_size=6)
 
 
@@ -58,7 +58,7 @@ _ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=
 def prediction_logs(draw):
     keys = draw(st.lists(st.tuples(st.one_of(st.integers(1, 4), st.integers(1, 2**63 - 1)),
                                    _ids), min_size=1, max_size=12,
-                         unique_by=lambda k: (k[0], k[1].rstrip("\x00"))))
+                         unique=True))
     n = len(keys)
     label = st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 2))
     true = draw(st.lists(label, min_size=n, max_size=n))
