@@ -51,7 +51,7 @@ a_hyper = accuracy_series(project_log(log, space))
 a_rand = accuracy_series(project_log(log, control))
 
 b = baseline(space)
-print(f"classes {h.class_count}, superclasses {space.sizes}, "
+print(f"classes {h.class_count}, superclasses {space.sizes.tolist()}, "
       f"chance baseline {100 * b:.2f}%")
 print()
 print("epoch   A(hypo)  A(hyper)  A(rand)   A_R(hyper)  G_R(hyper)  G_R(rand)")

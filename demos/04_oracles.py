@@ -6,6 +6,8 @@ rate sum_r P_r^2.  The table sweeps p over several size profiles and checks
 the Monte-Carlo estimate stays within a few binomial standard errors.
 """
 
+import numpy as np
+
 from hierkit.labelspace import LabelSpace
 from hierkit.metrics import baseline, theoretical_superclass_accuracy
 from hierkit.synth import mc_superclass_accuracy
@@ -14,11 +16,8 @@ TRIALS = 200_000
 
 
 def sized_space(sizes):
-    blocks, start = [], 0
-    for i, size in enumerate(sizes):
-        blocks.append((f"g{i}", frozenset(range(start, start + size))))
-        start += size
-    return LabelSpace(name="x".join(str(s) for s in sizes), superclasses=blocks)
+    return LabelSpace(name="x".join(str(s) for s in sizes),
+                      table=np.repeat(np.arange(len(sizes)), sizes))
 
 
 profiles = [

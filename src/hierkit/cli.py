@@ -64,11 +64,7 @@ def _manifest(args) -> dict:
 
 
 def _space_from_sizes(sizes) -> LabelSpace:
-    supers, start = [], 0
-    for i, size in enumerate(sizes):
-        supers.append((f"s{i}", frozenset(range(start, start + size))))
-        start += size
-    return LabelSpace(name="sizes", superclasses=supers)
+    return LabelSpace(name="sizes", table=np.repeat(np.arange(len(sizes)), sizes))
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -101,7 +97,7 @@ def _curve_spaces(args, log):
     """(tag, space, projected log) for hyponym, named, and random spaces."""
     named = read_labelspace(args.labelspace) if args.labelspace else None
     # projected first, so a partition mismatch fails before the hyponym space
-    # (one superclass per label of the log) is built
+    # (one table entry per label of the log) is built
     projected = None if named is None else project_log(log, named)
     entries = [("hyponym", hyponym_space(log.label_count), log)]
     if named is not None:

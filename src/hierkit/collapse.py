@@ -238,13 +238,12 @@ def lift_to_superclass(stats: ClassStats, head: Optional[ClassifierHead],
     which equals averaging (h - mu_s(c)) outer products over all examples.
     The global mean is unchanged.  ``head`` may be None.
     """
-    table = s.mapping()
+    table, s_count = s.table, s.superclass_count
     c = stats.class_count
-    if table.shape[0] != c:
-        raise ValueError(f"label space covers {table.shape[0]} classes, "
+    if s.class_count != c:
+        raise ValueError(f"label space covers {s.class_count} classes, "
                          f"stats have {c}: partition mismatch")
-    s_count = len(s.superclasses)
-    member_counts = np.bincount(table, minlength=s_count).astype(np.float64)
+    member_counts = s.sizes.astype(np.float64)
 
     means_s = np.zeros((s_count, stats.dimension))
     np.add.at(means_s, table, stats.class_means)

@@ -1,9 +1,9 @@
-"""Label spaces: partitions of class indices into named superclasses.
+"""Label spaces: partitions of class indices into superclasses.
 
 A label space groups the C base classes into superclasses (every class in
-exactly one group).  Hypernym spaces come from a taxonomy grouping; random
-size-isomorphic spaces are the control: same superclass sizes, membership
-drawn uniformly at random.
+exactly one group), held as the class -> superclass table.  Hypernym spaces
+come from a taxonomy grouping; random size-isomorphic spaces are the
+control: same superclass sizes, membership drawn uniformly at random.
 """
 
 from __future__ import annotations
@@ -29,42 +29,39 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class LabelSpace:
-    """An ordered partition of class indices 0..C-1 into named superclasses."""
+    """An ordered partition of class indices 0..C-1 into superclasses 0..S-1.
+
+    ``table`` is the length-C array mapping class index -> superclass index;
+    every superclass has at least one member.
+    """
 
     name: str
-    superclasses: list[tuple[str, frozenset[int]]]
+    table: np.ndarray
 
     def __post_init__(self) -> None:
-        self.superclasses = [(str(n), frozenset(int(c) for c in members))
-                             for n, members in self.superclasses]
-        total = 0
-        union: set[int] = set()
-        for sname, members in self.superclasses:
-            if not members:
-                raise ValueError(f"superclass {sname!r} is empty")
-            total += len(members)
-            union |= members
-        if len(union) != total:
-            raise ValueError("superclasses overlap: some class appears twice")
-        if union != set(range(total)):
-            raise ValueError(f"superclass members must partition 0..{total - 1}")
+        self.table = np.asarray(self.table, dtype=np.int64)
+        if self.table.ndim != 1 or self.table.size == 0:
+            raise ValueError("mapping table must be a non-empty 1-D array")
+        if self.table.min() < 0:
+            raise ValueError(f"negative superclass index {int(self.table.min())}")
+        gaps = np.flatnonzero(self.sizes == 0)
+        if gaps.size:
+            raise ValueError(f"superclass index {gaps[0]} has no members (gapped indices)")
 
     @property
     def class_count(self) -> int:
-        return sum(len(m) for _, m in self.superclasses)
+        return len(self.table)
 
     @property
-    def sizes(self) -> list[int]:
-        return [len(m) for _, m in self.superclasses]
+    def superclass_count(self) -> int:
+        return int(self.table.max()) + 1
 
-    def mapping(self) -> np.ndarray:
-        """The length-C table mapping class index -> superclass index."""
-        table = np.empty(self.class_count, dtype=np.int64)
-        for si, (_, members) in enumerate(self.superclasses):
-            table[list(members)] = si
-        return table
+    @property
+    def sizes(self) -> np.ndarray:
+        """Member count of each superclass."""
+        return np.bincount(self.table)
 
 
 def parse_grouping(source) -> list[tuple[str, list[str]]]:
@@ -93,7 +90,8 @@ def build_labelspace(h: Hierarchy, groups, name: str = "hypernyms") -> tuple[Lab
     """Assign each class to the group containing its nearest listed ancestor.
 
     ``groups`` is a list of (superclass_name, node_ids) pairs, e.g. from
-    :func:`parse_grouping`.  Returns the LabelSpace and its mapping table.
+    :func:`parse_grouping`; group i becomes superclass i.  Returns the
+    LabelSpace and its table.
 
     Raises if a node is listed in two groups, a class reaches no group on the
     walk to the root, or a group ends up with no classes.
@@ -107,7 +105,6 @@ def build_labelspace(h: Hierarchy, groups, name: str = "hypernyms") -> tuple[Lab
 
     c = h.class_count
     table = np.empty(c, dtype=np.int64)
-    members: list[set[int]] = [set() for _ in groups]
     targets = set(node_to_group)
     for ci in range(c):
         try:
@@ -116,16 +113,13 @@ def build_labelspace(h: Hierarchy, groups, name: str = "hypernyms") -> tuple[Lab
             leaf = h.class_index[ci]
             raise ValueError(f"class {ci} (leaf {leaf!r}) matches no group: "
                              "partition violated") from None
-        gi = node_to_group[node]
-        table[ci] = gi
-        members[gi].add(ci)
+        table[ci] = node_to_group[node]
 
-    for (gname, _), mem in zip(groups, members):
-        if not mem:
+    sizes = np.bincount(table, minlength=len(groups))
+    for (gname, _), size in zip(groups, sizes):
+        if not size:
             raise ValueError(f"superclass {gname!r} matched no class")
-    space = LabelSpace(name=name,
-                       superclasses=[(gname, frozenset(mem))
-                                     for (gname, _), mem in zip(groups, members)])
+    space = LabelSpace(name=name, table=table)
     return space, table
 
 
@@ -134,8 +128,7 @@ def hyponym_space(class_count: int, name: str = "hyponyms") -> LabelSpace:
     class_count = int(class_count)
     if class_count < 1:
         raise ValueError("class_count must be >= 1")
-    return LabelSpace(name=name,
-                      superclasses=[(f"c{i}", frozenset([i])) for i in range(class_count)])
+    return LabelSpace(name=name, table=np.arange(class_count))
 
 
 def random_isomorphic(s: LabelSpace, seed: int) -> tuple[LabelSpace, np.ndarray]:
@@ -146,53 +139,38 @@ def random_isomorphic(s: LabelSpace, seed: int) -> tuple[LabelSpace, np.ndarray]
     """
     rng = substream(seed, 0)
     perm = rng.permutation(s.class_count)
-    superclasses = []
-    start = 0
-    for (sname, members) in s.superclasses:
-        size = len(members)
-        superclasses.append((sname, frozenset(int(x) for x in perm[start:start + size])))
-        start += size
-    space = LabelSpace(name=f"{s.name}/random-{int(seed)}", superclasses=superclasses)
-    return space, space.mapping()
+    table = np.empty(s.class_count, dtype=np.int64)
+    table[perm] = np.repeat(np.arange(s.superclass_count), s.sizes)
+    space = LabelSpace(name=f"{s.name}/random-{int(seed)}", table=table)
+    return space, table
 
 
-def project_log(log: PredictionLog, m) -> PredictionLog:
-    """Replace every true/pred label by its superclass index.
+def project_log(log: PredictionLog, s: LabelSpace) -> PredictionLog:
+    """Replace every true/pred label by its superclass index in ``s``.
 
-    ``m`` is a LabelSpace or a mapping table (length-C array).  Epochs and
-    example ids are preserved.
+    Epochs and example ids are preserved.
     """
-    if isinstance(m, LabelSpace):
-        table = m.mapping()
-        s_count = len(m.superclasses)
-    else:
-        table = np.asarray(m, dtype=np.int64)
-        if table.ndim != 1 or table.size == 0:
-            raise ValueError("mapping table must be a non-empty 1-D array")
-        s_count = int(table.max()) + 1
-    if table.shape[0] != log.label_count:
+    if s.class_count != log.label_count:
         raise ValueError(f"log has {log.label_count} labels but mapping covers "
-                         f"{table.shape[0]} classes: partition mismatch")
+                         f"{s.class_count} classes: partition mismatch")
     return PredictionLog(epochs=log.epochs,
                          example_ids=log.example_ids,
-                         true_labels=table[log.true_labels],
-                         pred_labels=table[log.pred_labels],
-                         label_count=s_count)
+                         true_labels=s.table[log.true_labels],
+                         pred_labels=s.table[log.pred_labels],
+                         label_count=s.superclass_count)
 
 
 def write_labelspace(s: LabelSpace, path) -> None:
     """Dump as text: one `class_index<TAB>superclass_index` line per class."""
-    table = s.mapping()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for ci in range(len(table)):
-            fh.write(f"{ci}\t{int(table[ci])}\n")
+        for ci, si in enumerate(s.table.tolist()):
+            fh.write(f"{ci}\t{si}\n")
 
 
 def read_labelspace(path) -> LabelSpace:
     """Read a label space dump written by :func:`write_labelspace`.
 
-    The dump stores only indices, so superclass names are synthesized as
-    s0..s{k-1} and the space is named after the file.
+    The space is named after the file.
     """
     pairs: dict[int, int] = {}
     for name, lineno, line in iter_lines(path, "<labelspace>"):
@@ -208,16 +186,11 @@ def read_labelspace(path) -> LabelSpace:
         pairs[ci] = si
     if not pairs:
         raise ValueError(f"{path}: label space dump is empty")
-    c = len(pairs)
-    if sorted(pairs) != list(range(c)):
+    if sorted(pairs) != list(range(len(pairs))):
         raise ValueError(f"{path}: class indices are not contiguous from 0")
-    s_count = max(pairs.values()) + 1
-    members: list[set[int]] = [set() for _ in range(s_count)]
-    for ci, si in pairs.items():
-        members[si].add(ci)
-    if any(not m for m in members):
-        gap = next(i for i, m in enumerate(members) if not m)
-        raise ValueError(f"{path}: superclass index {gap} has no members (gapped indices)")
+    table = np.array([pairs[ci] for ci in range(len(pairs))], dtype=np.int64)
     base = os.path.splitext(os.path.basename(str(path)))[0]
-    return LabelSpace(name=base,
-                      superclasses=[(f"s{i}", frozenset(m)) for i, m in enumerate(members)])
+    try:
+        return LabelSpace(name=base, table=table)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

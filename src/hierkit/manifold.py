@@ -167,15 +167,10 @@ def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.
     out = np.empty((x.shape[0], len(starts)))
     cpus = _usable_cpus()
     rows = max(1, _block_rows(refs.shape[0]) // cpus)
-    grouped = len(starts) != len(refs)
 
     def fill(lo: int) -> None:
-        block = out[lo:lo + rows]
-        if grouped:
-            np.minimum.reduceat(cdist(x[lo:lo + rows], refs, "sqeuclidean"), starts,
-                                axis=1, out=block)
-        else:
-            cdist(x[lo:lo + rows], refs, "sqeuclidean", out=block)
+        np.minimum.reduceat(cdist(x[lo:lo + rows], refs, "sqeuclidean"), starts,
+                            axis=1, out=out[lo:lo + rows])
 
     blocks = range(0, x.shape[0], rows)
     with ThreadPoolExecutor(max_workers=max(1, min(cpus, len(blocks)))) as pool:

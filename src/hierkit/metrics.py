@@ -144,28 +144,14 @@ def accuracy_series(log: PredictionLog) -> MetricSeries:
     return MetricSeries(epochs=epochs, values=100.0 * sums / counts, scale="percent")
 
 
-def _validated_priors(class_count: int, priors) -> np.ndarray:
-    if priors is None:
-        return np.full(class_count, 1.0 / class_count)
-    p = np.asarray(priors, dtype=np.float64)
-    if p.shape != (class_count,):
-        raise ValueError(f"priors must have length {class_count}, got shape {p.shape}")
-    if (p < 0).any() or not np.isfinite(p).all():
-        raise ValueError("priors must be non-negative and finite")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"priors must sum to 1 within 1e-9, got {p.sum()!r}")
-    return p
-
-
-def baseline(s: "LabelSpace", priors=None) -> float:
+def baseline(s: "LabelSpace") -> float:
     """B(X) = sum_r P_r**2: accuracy of a size-aware random guess.
 
-    P_r is the total prior mass of superclass r; priors default to uniform
-    over classes.
+    P_r is the share of the classes that superclass r holds (uniform priors
+    over classes).  It is summed from per-class terms 1/C, not taken as
+    size/C, which fixes the bits of every gain table.
     """
-    table = s.mapping()
-    p = _validated_priors(len(table), priors)
-    mass = np.bincount(table, weights=p, minlength=len(s.superclasses))
+    mass = np.bincount(s.table, weights=np.full(s.class_count, 1.0 / s.class_count))
     return float(mass @ mass)
 
 
@@ -197,17 +183,17 @@ def residual_error(a: MetricSeries) -> MetricSeries:
     return MetricSeries(epochs=a.epochs, values=(100.0 - a.values) / denom - 1.0, scale="signed")
 
 
-def theoretical_superclass_accuracy(p_h: float, s: "LabelSpace", priors=None) -> float:
+def theoretical_superclass_accuracy(p_h: float, s: "LabelSpace") -> float:
     """Expected superclass accuracy p_h + (1 - p_h) * sum_r P_r**2.
 
     Models a classifier that picks the right class with probability ``p_h``
-    and otherwise lands on a class drawn by prior, which still hits the right
+    and otherwise lands on a class drawn uniformly, which still hits the right
     superclass with probability P_r per superclass.
     """
     p_h = float(p_h)
     if not 0.0 <= p_h <= 1.0:
         raise ValueError(f"p_h must be in [0, 1], got {p_h}")
-    return p_h + (1.0 - p_h) * baseline(s, priors)
+    return p_h + (1.0 - p_h) * baseline(s)
 
 
 def convergence_epoch(a: MetricSeries, fraction: float = 0.95) -> int:

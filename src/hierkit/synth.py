@@ -128,11 +128,10 @@ def gen_hierarchical_trajectory(h: Hierarchy, s: LabelSpace,
     c = h.class_count
     if s.class_count != c:
         raise ValueError(f"label space covers {s.class_count} classes, hierarchy has {c}")
-    s_count = len(s.superclasses)
+    table, s_count = s.table, s.superclass_count
     p = params.dimension
     if p < s_count + c:
         raise ValueError(f"dimension must be >= superclasses + classes = {s_count + c}, got {p}")
-    table = s.mapping()
 
     rng = substream(params.seed, 0)
     basis = np.linalg.qr(rng.standard_normal((p, s_count + c)))[0]
@@ -182,11 +181,9 @@ def gen_prediction_trajectory(h: Hierarchy, s: LabelSpace, epochs: int,
     if s.class_count != c:
         raise ValueError(f"label space covers {s.class_count} classes, hierarchy has {c}")
 
-    table = s.mapping()
+    table, group_sizes = s.table, s.sizes
     # flat member list grouped by superclass + per-class position inside its group
-    order = np.argsort(table, kind="stable")
-    flat_members = np.arange(c)[order]
-    group_sizes = np.bincount(table, minlength=len(s.superclasses))
+    flat_members = np.argsort(table, kind="stable")
     offsets = np.concatenate([[0], np.cumsum(group_sizes)[:-1]])
     pos_in_group = np.empty(c, dtype=np.int64)
     pos_in_group[flat_members] = np.arange(c) - np.repeat(offsets, group_sizes)

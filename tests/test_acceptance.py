@@ -42,11 +42,7 @@ def _criterion(n: int, desc: str):
 
 
 def _sized_space(sizes, name="sup"):
-    blocks, start = [], 0
-    for i, size in enumerate(sizes):
-        blocks.append((f"g{i}", frozenset(range(start, start + size))))
-        start += size
-    return LabelSpace(name=name, superclasses=blocks)
+    return LabelSpace(name=name, table=np.repeat(np.arange(len(sizes)), sizes))
 
 
 def _grouped_taxonomy(sizes):

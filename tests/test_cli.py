@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hierkit
 from hierkit.cli import run
 from hierkit.collapse import ClassifierHead
 from hierkit.io import read_features, read_predictions, write_head, write_table
@@ -600,3 +605,26 @@ class TestMalformedInputsExitOne:
                      "--k", "2", "--seed", "0"], tmp_path, capsys,
                     "cannot write a matrix with no labels")
         assert not (tmp_path / "out" / "cover.csv").exists()
+
+
+@pytest.mark.parametrize("action", ["curves", "converge"])
+def test_huge_label_without_labelspace_exits_one(tmp_path, action):
+    # The hyponym space of this log has 10**17 + 1 classes.  It runs in a child
+    # under a 1 GiB address-space limit, so a build that allocates per class
+    # fails inside the child instead of exhausting the host's memory.
+    resource = pytest.importorskip("resource")
+    log = tmp_path / "p.csv"
+    log.write_text(f"epoch,example_id,true_label,pred_label\n1,a,0,0\n1,b,0,{10**17}\n")
+    src = str(Path(hierkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "hierkit.cli", "metrics", action,
+                           "--log", str(log), "--out", str(tmp_path / "out")],
+                          env=env, preexec_fn=limit_memory, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: Unable to allocate")

@@ -212,14 +212,13 @@ class TestNc4:
 
 
 class TestLift:
-    def _space(self, groups, name="s"):
-        return LabelSpace(name=name, superclasses=[(f"g{i}", frozenset(m))
-                                                   for i, m in enumerate(groups)])
+    def _space(self, table):
+        return LabelSpace(name="s", table=table)
 
     def test_singleton_lift_is_identity(self):
         f, head = _random_setup(7, c=4)
         st = class_statistics(f)
-        s = self._space([[0], [1], [2], [3]])
+        s = self._space([0, 1, 2, 3])
         lifted, lhead = lift_to_superclass(st, head, s)
         np.testing.assert_allclose(lifted.class_means, st.class_means, atol=1e-12)
         np.testing.assert_allclose(lifted.sigma_w, st.sigma_w, atol=1e-12)
@@ -233,7 +232,7 @@ class TestLift:
         x = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
         f = FeatureSet(x, np.array([0, 1, 1, 1]), 2)
         st = class_statistics(f)
-        lifted, _ = lift_to_superclass(st, None, self._space([[0, 1]]))
+        lifted, _ = lift_to_superclass(st, None, self._space([0, 0]))
         np.testing.assert_allclose(lifted.class_means, [[1.0, 1.0]])
         np.testing.assert_array_equal(lifted.counts, [4])
 
@@ -245,7 +244,7 @@ class TestLift:
         x[20:] += 2.0
         f = FeatureSet(np.vstack([x, -x]), np.concatenate([labels, labels[::-1]]), 2)
         st = class_statistics(f)
-        lifted, _ = lift_to_superclass(st, None, self._space([[0, 1]]))
+        lifted, _ = lift_to_superclass(st, None, self._space([0, 0]))
         np.testing.assert_allclose(lifted.sigma_b, 0.0, atol=1e-12)
         dev = f.vectors - f.vectors.mean(axis=0)
         total = dev.T @ dev / len(f)
@@ -255,16 +254,16 @@ class TestLift:
         st = _stats([[0.0], [1.0], [4.0]])
         head = ClassifierHead(weights=np.array([[1.0], [3.0], [10.0]]),
                               bias=np.array([0.0, 2.0, 7.0]))
-        _, lhead = lift_to_superclass(st, head, self._space([[0, 1], [2]]))
+        _, lhead = lift_to_superclass(st, head, self._space([0, 0, 1]))
         np.testing.assert_allclose(lhead.weights, [[2.0], [10.0]])
         np.testing.assert_allclose(lhead.bias, [1.0, 7.0])
 
     def test_sigma_w_gains_offset_term(self):
         f, _ = _random_setup(9, c=4)
         st = class_statistics(f)
-        s = self._space([[0, 1], [2, 3]])
+        s = self._space([0, 0, 1, 1])
         lifted, _ = lift_to_superclass(st, None, s)
-        table = s.mapping()
+        table = s.table
         means_s = np.stack([st.class_means[:2].mean(axis=0),
                             st.class_means[2:].mean(axis=0)])
         dev = st.class_means - means_s[table]
@@ -275,7 +274,7 @@ class TestLift:
     def test_partition_mismatch_rejected(self):
         st = _stats([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="partition mismatch"):
-            lift_to_superclass(st, None, self._space([[0, 1]]))
+            lift_to_superclass(st, None, self._space([0, 0]))
 
     def test_lifted_nc1_differs_between_spaces(self):
         # hypernym-aligned geometry: superclass spread dwarfs class spread
@@ -286,7 +285,7 @@ class TestLift:
         x = anchors[labels // 2] + offsets[labels % 2] + 0.2 * rng.standard_normal((200, 2))
         f = FeatureSet(x, labels, 4)
         st = class_statistics(f)
-        s = self._space([[0, 1], [2, 3]])
+        s = self._space([0, 0, 1, 1])
         lifted, _ = lift_to_superclass(st, None, s)
         assert nc1(lifted) < nc1(st)
 
@@ -319,8 +318,7 @@ class TestNcReport:
     def test_lifted_report_uses_raw_features(self):
         f, head = _random_setup(12, c=4)
         st = class_statistics(f)
-        s = LabelSpace(name="pairs", superclasses=[("a", frozenset({0, 1})),
-                                                   ("b", frozenset({2, 3}))])
+        s = LabelSpace(name="pairs", table=[0, 0, 1, 1])
         lifted, lhead = lift_to_superclass(st, head, s)
         rep = nc_report(f, lhead, label_space_name="pairs", stats=lifted)
         assert rep.nc1 == nc1(lifted)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hierkit.labelspace import (LabelSpace, build_labelspace, hyponym_space,
                                 parse_grouping, project_log, random_isomorphic,
@@ -18,46 +20,53 @@ def _log(epochs, true, pred, n_labels):
 
 
 class TestLabelSpace:
-    def test_partition_enforced_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            LabelSpace(name="bad", superclasses=[("a", frozenset([0, 1])),
-                                                 ("b", frozenset([1, 2]))])
+    def test_two_dimensional_table_rejected(self):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            LabelSpace(name="bad", table=np.zeros((2, 2), dtype=np.int64))
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            LabelSpace(name="bad", table=np.array([], dtype=np.int64))
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="negative superclass index -1"):
+            LabelSpace(name="bad", table=[0, -1, 0])
 
     def test_partition_enforced_gap(self):
-        with pytest.raises(ValueError, match="partition"):
-            LabelSpace(name="bad", superclasses=[("a", frozenset([0])),
-                                                 ("b", frozenset([2]))])
+        with pytest.raises(ValueError, match="superclass index 1 has no members"):
+            LabelSpace(name="bad", table=[0, 2])
 
     def test_empty_superclass_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            LabelSpace(name="bad", superclasses=[("a", frozenset([0])),
-                                                 ("b", frozenset())])
+        with pytest.raises(ValueError, match="superclass index 0 has no members"):
+            LabelSpace(name="bad", table=[1, 1, 2])
 
     def test_sizes_and_mapping(self):
-        s = LabelSpace(name="s", superclasses=[("a", frozenset([0, 2])),
-                                               ("b", frozenset([1]))])
-        assert s.sizes == [2, 1]
+        s = LabelSpace(name="s", table=[0, 1, 0])
+        assert s.table.dtype == np.int64
+        assert list(s.table) == [0, 1, 0]
+        assert list(s.sizes) == [2, 1]
         assert s.class_count == 3
-        assert list(s.mapping()) == [0, 1, 0]
+        assert s.superclass_count == 2
 
 
 class TestBuildLabelspace:
     def test_animals(self):
         h, space, table = animals_space()
-        assert space.sizes == [3, 3]
+        assert list(space.sizes) == [3, 3]
         assert list(table) == [0, 0, 0, 1, 1, 1]
+        assert np.array_equal(space.table, table)
 
     def test_single_group_root(self):
         h = animals_hierarchy()
         space, table = build_labelspace(h, [("all", ["root"])])
-        assert space.sizes == [6]
+        assert list(space.sizes) == [6]
         assert (table == 0).all()
 
     def test_leaves_as_groups_is_identity(self):
         h = animals_hierarchy()
         names = ["dog", "cat", "wolf", "tree", "fern", "moss"]
         space, table = build_labelspace(h, [(n, [n]) for n in names])
-        assert space.sizes == [1] * 6
+        assert list(space.sizes) == [1] * 6
         assert list(table) == list(range(6))
 
     def test_unmatched_class_rejected(self):
@@ -104,26 +113,25 @@ class TestRandomIsomorphic:
         r, table = random_isomorphic(space, 3)
         assert sorted(r.sizes) == sorted(space.sizes)
         assert r.class_count == space.class_count
+        assert np.array_equal(r.table, table)
 
     def test_seed_determinism(self):
         _, space, _ = animals_space()
         a, _ = random_isomorphic(space, 11)
         b, _ = random_isomorphic(space, 11)
-        assert a.superclasses == b.superclasses
+        assert np.array_equal(a.table, b.table)
 
     def test_seeds_differ(self):
-        s = hyponym_space(1)
-        big = LabelSpace(name="big", superclasses=[
-            ("a", frozenset(range(40))), ("b", frozenset(range(40, 100)))])
+        big = LabelSpace(name="big", table=np.repeat([0, 1], [40, 60]))
         a, _ = random_isomorphic(big, 0)
         b, _ = random_isomorphic(big, 1)
-        assert a.superclasses != b.superclasses
+        assert not np.array_equal(a.table, b.table)
 
     def test_singleton_sizes_give_relabeled_identity(self):
         s = hyponym_space(5)
         r, table = random_isomorphic(s, 2)
-        assert r.sizes == [1] * 5
-        assert sorted(int(next(iter(m))) for _, m in r.superclasses) == list(range(5))
+        assert list(r.sizes) == [1] * 5
+        assert sorted(table) == list(range(5))
 
     def test_name_records_seed(self):
         _, space, _ = animals_space()
@@ -133,8 +141,7 @@ class TestRandomIsomorphic:
 
 class TestProjectLog:
     def test_within_superclass_error_becomes_hit(self):
-        s = LabelSpace(name="s", superclasses=[("a", frozenset([0, 1])),
-                                               ("b", frozenset([2]))])
+        s = LabelSpace(name="s", table=[0, 0, 1])
         log = _log([1, 1], [0, 2], [1, 2], 3)
         out = project_log(log, s)
         assert list(out.true_labels) == [0, 1]
@@ -152,16 +159,44 @@ class TestProjectLog:
         out = project_log(log, hyponym_space(3))
         assert len(out) == 0
 
-    def test_raw_table_accepted(self):
-        log = _log([1], [2], [0], 3)
-        out = project_log(log, np.array([0, 0, 1]))
-        assert list(out.true_labels) == [1]
-        assert list(out.pred_labels) == [0]
-
     def test_wrong_size_table_rejected(self):
         log = _log([1], [0], [0], 2)
         with pytest.raises(ValueError, match="partition mismatch"):
-            project_log(log, np.array([0, 0, 1]))
+            project_log(log, LabelSpace(name="s", table=[0, 0, 1]))
+
+
+@st.composite
+def _tables(draw, c):
+    """A table over ``c`` classes in which every superclass has a member."""
+    s_count = draw(st.integers(1, c))
+    table = draw(arrays(np.int64, c, elements=st.integers(0, s_count - 1)))
+    table[draw(st.permutations(range(c)))[:s_count]] = np.arange(s_count)
+    return table
+
+
+@st.composite
+def _nested_spaces(draw):
+    """A log over C labels, a space A on it and a space B on A's superclasses."""
+    c = draw(st.integers(1, 12))
+    a = LabelSpace(name="a", table=draw(_tables(c)))
+    b = LabelSpace(name="b", table=draw(_tables(a.superclass_count)))
+    n = draw(st.integers(0, 20))
+    labels = st.integers(0, c - 1)
+    log = _log(draw(arrays(np.int64, n, elements=st.integers(1, 3))),
+               draw(arrays(np.int64, n, elements=labels)),
+               draw(arrays(np.int64, n, elements=labels)), c)
+    return log, a, b
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_nested_spaces())
+def test_nested_projection_is_one_projection(inputs):
+    log, a, b = inputs
+    twice = project_log(project_log(log, a), b)
+    once = project_log(log, LabelSpace(name="ab", table=b.table[a.table]))
+    assert twice.label_count == once.label_count == b.superclass_count
+    for field in ("epochs", "example_ids", "true_labels", "pred_labels"):
+        assert np.array_equal(getattr(twice, field), getattr(once, field))
 
 
 class TestLabelspaceFiles:
@@ -171,13 +206,19 @@ class TestLabelspaceFiles:
         write_labelspace(space, p)
         back = read_labelspace(p)
         assert back.name == "s2"
-        assert [sorted(m) for _, m in back.superclasses] == \
-               [sorted(m) for _, m in space.superclasses]
+        assert np.array_equal(back.table, space.table)
 
     def test_gap_rejected(self, tmp_path):
         p = tmp_path / "bad.tsv"
         p.write_text("0\t0\n2\t1\n")
         with pytest.raises(ValueError):
+            read_labelspace(p)
+
+    def test_gapped_superclass_rejected(self, tmp_path):
+        p = tmp_path / "bad.tsv"
+        p.write_text("0\t0\n1\t2\n")
+        with pytest.raises(ValueError, match=r"bad.tsv: superclass index 1 has no members "
+                                             r"\(gapped indices\)"):
             read_labelspace(p)
 
     def test_extra_field_rejected(self, tmp_path):

@@ -25,11 +25,7 @@ def _series(values, epochs=None, scale="percent"):
 
 
 def _sized_space(sizes):
-    supers, start = [], 0
-    for i, size in enumerate(sizes):
-        supers.append((f"s{i}", frozenset(range(start, start + size))))
-        start += size
-    return LabelSpace(name="sized", superclasses=supers)
+    return LabelSpace(name="sized", table=np.repeat(np.arange(len(sizes)), sizes))
 
 
 class TestPredictionLog:
@@ -65,8 +61,7 @@ class TestAccuracySeries:
 
     def test_projection_turns_error_into_hit(self):
         # 2-record log: one within-superclass error, one hit
-        s = LabelSpace(name="s", superclasses=[("a", frozenset([0, 1])),
-                                               ("b", frozenset([2]))])
+        s = LabelSpace(name="s", table=[0, 0, 1])
         log = _log([1, 1], [0, 2], [1, 2], 3)
         assert accuracy_series(log).values[0] == 50.0
         assert accuracy_series(project_log(log, s)).values[0] == 100.0
@@ -93,17 +88,6 @@ class TestBaseline:
     def test_single_superclass(self):
         assert baseline(_sized_space([7])) == pytest.approx(1.0)
 
-    def test_explicit_priors(self):
-        space = _sized_space([1, 1])
-        assert baseline(space, priors=[0.9, 0.1]) == pytest.approx(0.81 + 0.01)
-
-    def test_bad_priors_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            baseline(_sized_space([1, 1]), priors=[0.6, 0.6])
-
-    def test_negative_priors(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            baseline(_sized_space([1, 1]), priors=[1.5, -0.5])
 
 
 class TestRelativeAccuracy:
