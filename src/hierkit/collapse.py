@@ -116,6 +116,44 @@ class NCReport:
     degenerate_flags: tuple[str, ...] = ()
 
 
+def _class_sums(labels: np.ndarray, x: np.ndarray, c: int) -> np.ndarray:
+    """Per-class row sums, bit for bit ``np.add.at(np.zeros((c, p)), labels, x)``.
+
+    A loop over the within-class rank r: pass r adds the r-th row, in index
+    order, of every class that has one.  Each class thus sums its rows in
+    index order from +0.0, as ``np.add.at`` does, and no class appears twice
+    in a pass, so the fancy ``+=`` is safe.  ``np.add.reduce`` or ``reduceat``
+    along the class axis would not be exact: numpy sums pairwise there.  Rows
+    are sorted stably by label unless already non-decreasing; with equal class
+    counts each pass is one strided slice.  The cost is one pass per row of
+    the largest class.
+    """
+    counts = np.bincount(labels, minlength=c)
+    p = x.shape[1]
+    sums = np.zeros((c, p))
+    xs = x if (labels[1:] >= labels[:-1]).all() else x[np.argsort(labels, kind="stable")]
+    m = int(counts.max())
+    if (counts == m).all():
+        blocks = xs.reshape(c, m, p)
+        for r in range(m):
+            sums += blocks[:, r]
+        return sums
+    starts = np.cumsum(counts) - counts
+    for r in range(m):
+        cls = np.flatnonzero(counts > r)
+        sums[cls] += xs[starts[cls] + r]
+    return sums
+
+
+def _class_means(f: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class example counts and mean rows; every class needs an example."""
+    counts = np.bincount(f.labels, minlength=f.class_count)
+    if (counts == 0).any():
+        empty = int(np.flatnonzero(counts == 0)[0])
+        raise ValueError(f"class {empty} has no examples")
+    return counts, _class_sums(f.labels, f.vectors, f.class_count) / counts[:, None]
+
+
 def class_statistics(f: FeatureSet) -> ClassStats:
     """Per-class means plus within/between scatter matrices.
 
@@ -123,16 +161,10 @@ def class_statistics(f: FeatureSet) -> ClassStats:
     Sigma_W averages (h - mu_c) outer products over all examples.  Every
     class 0..C-1 must have at least one example.
     """
+    counts, class_means = _class_means(f)
     x = f.vectors.astype(np.float64, copy=False)
-    n, p = x.shape
+    n = x.shape[0]
     c = f.class_count
-    counts = np.bincount(f.labels, minlength=c)
-    if (counts == 0).any():
-        empty = int(np.flatnonzero(counts == 0)[0])
-        raise ValueError(f"class {empty} has no examples")
-    sums = np.zeros((c, p))
-    np.add.at(sums, f.labels, x)
-    class_means = sums / counts[:, None]
     global_mean = x.mean(axis=0)
     dev_w = x - class_means[f.labels]
     sigma_w = dev_w.T @ dev_w / n
@@ -205,10 +237,14 @@ def nc3_self_duality(stats: ClassStats, head: ClassifierHead) -> float:
 
 
 def nearest_mean_labels(f: FeatureSet, stats: Optional[ClassStats] = None) -> np.ndarray:
-    """Nearest-class-centroid labels; ties go to the lower class index."""
-    if stats is None:
-        stats = class_statistics(f)
-    return nearest_refs(f.vectors, stats.class_means)
+    """Nearest-class-centroid labels; ties go to the lower class index.
+
+    Without ``stats`` only the class means of ``f`` are computed (the same
+    bits as ``class_statistics(f).class_means``), and a class without
+    examples raises as in :func:`class_statistics`.
+    """
+    means = _class_means(f)[1] if stats is None else stats.class_means
+    return nearest_refs(f.vectors, means)
 
 
 def nc4_mismatch(f: FeatureSet, stats: ClassStats, head: ClassifierHead) -> float:
@@ -245,9 +281,7 @@ def lift_to_superclass(stats: ClassStats, head: Optional[ClassifierHead],
                          f"stats have {c}: partition mismatch")
     member_counts = s.sizes.astype(np.float64)
 
-    means_s = np.zeros((s_count, stats.dimension))
-    np.add.at(means_s, table, stats.class_means)
-    means_s /= member_counts[:, None]
+    means_s = _class_sums(table, stats.class_means, s_count) / member_counts[:, None]
 
     counts_s = np.bincount(table, weights=stats.counts, minlength=s_count).astype(np.int64)
     dev_b = means_s - stats.global_mean
@@ -263,9 +297,7 @@ def lift_to_superclass(stats: ClassStats, head: Optional[ClassifierHead],
         return lifted, None
     if head.class_count != c:
         raise ValueError("head row count does not match the number of classes")
-    w_s = np.zeros((s_count, head.weights.shape[1]))
-    np.add.at(w_s, table, head.weights)
-    w_s /= member_counts[:, None]
+    w_s = _class_sums(table, head.weights, s_count) / member_counts[:, None]
     b_s = np.bincount(table, weights=head.bias, minlength=s_count) / member_counts
     return lifted, ClassifierHead(weights=w_s, bias=b_s)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collapse import class_statistics, nearest_mean_labels
+from .collapse import nearest_mean_labels
 from .hierarchy import Hierarchy, iter_lines
 from .labelspace import LabelSpace
 from .manifold import FeatureSet
@@ -283,7 +283,7 @@ def ncc_prediction_log(feature_sets) -> PredictionLog:
         if f.class_count != c:
             raise ValueError("feature sets disagree on class_count")
         epoch = f.epoch if f.epoch is not None else i + 1
-        pred = nearest_mean_labels(f, class_statistics(f))
+        pred = nearest_mean_labels(f)
         ep_parts.append(np.full(len(f), int(epoch), dtype=np.int64))
         if len(f) not in ids:
             ids[len(f)] = np.array([f"e{j}" for j in range(len(f))])

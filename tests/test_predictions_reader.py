@@ -85,12 +85,12 @@ def _field(number) -> bytes:
 
 
 @st.composite
-def canonical_logs(draw) -> bytes:
+def canonical_logs(draw, number=_number) -> bytes:
     keys = draw(st.lists(st.tuples(st.integers(1, 4), _ascii_id), min_size=1, max_size=10,
                          unique=True))
     lines = []
     for epoch, ident in keys:
-        true, pred = draw(_number), draw(_number)
+        true, pred = draw(number), draw(number)
         lines.append(b",".join([str(epoch).encode(), ident.encode(), _field(true),
                                 _field(pred)]) + b"\n")
     return HEADER + b"".join(lines)
@@ -102,12 +102,12 @@ _INSERTS = [b"\r", b"\n", b"\r\n", b"+", b" ", b"_", b",", b"-", b"0", b"\x00", 
 
 
 @st.composite
-def mutated_logs(draw) -> bytes:
-    data = draw(canonical_logs())
+def mutated_logs(draw, number=_number, inserts=_INSERTS) -> bytes:
+    data = draw(canonical_logs(number))
     for at in draw(st.lists(st.integers(0, 10**6), max_size=2)):  # delete a byte
         at %= len(data)
         data = data[:at] + data[at + 1:]
-    for insert, at in draw(st.lists(st.tuples(st.sampled_from(_INSERTS), st.integers(0, 10**6)),
+    for insert, at in draw(st.lists(st.tuples(st.sampled_from(inserts), st.integers(0, 10**6)),
                                     max_size=3)):
         at %= len(data) + 1
         data = data[:at] + insert + data[at:]
@@ -155,6 +155,29 @@ def test_metrics_commands_exit_0_or_1(tmp_path_factory, space_file, data, comman
     argv = ["metrics", command, "--log", str(path), "--labelspace", str(space_file)]
     argv += ["--epoch", "1"] if command == "confusion" else ["--random-iso", "--seed", "0"]
     assert run(argv + ["--out", str(base / "cli_out")]) in (0, 1)
+
+
+# Labels below 10**4 and no inserted digits: without a label space the hyponym
+# space has one entry per label, so every legitimate allocation stays small.
+# test_cli.py covers huge labels in a memory-limited child.
+_small_label = st.tuples(st.integers(0, 10**4 - 1), st.integers(0, 3))
+_no_digits = [b for b in _INSERTS if not any(c.isdigit() for c in b.decode("utf-8", "replace"))]
+_curve_flags = st.lists(st.sampled_from([
+    ["--random-iso"], ["--seed", "0"], ["--seed", "x"], ["--fraction", "0.5"],
+    ["--fraction", "nan"], ["--fraction", "-1"], ["--fraction", "inf"], ["--fraction", "x"],
+    ["--epoch", "1"], ["--bogus"],
+]), max_size=3)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.one_of(canonical_logs(_small_label), mutated_logs(_small_label, _no_digits)),
+       command=st.sampled_from(["curves", "converge"]), flags=_curve_flags)
+def test_metrics_without_labelspace_exit_0_1_or_2(tmp_path_factory, data, command, flags):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "cli_bare.csv"
+    path.write_bytes(data)
+    argv = ["metrics", command, "--log", str(path), *sum(flags, [])]
+    assert run(argv + ["--out", str(base / "cli_bare_out")]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("label", [10**9, 10**17])
