@@ -134,7 +134,7 @@ def _cmd_metrics_confusion(args, out: Path) -> None:
     if args.labelspace:
         space = read_labelspace(args.labelspace)
         log = project_log(log, space)
-    cm = confusion_matrix(log.at_epoch(args.epoch), order=range(log.label_count))
+    cm = confusion_matrix(log.at_epoch(args.epoch))
     write_table(cm, out / "confusion.csv")
 
 

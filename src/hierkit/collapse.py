@@ -166,7 +166,8 @@ def class_statistics(f: FeatureSet) -> ClassStats:
     n = x.shape[0]
     c = f.class_count
     global_mean = x.mean(axis=0)
-    dev_w = x - class_means[f.labels]
+    dev_w = class_means[f.labels]
+    np.subtract(x, dev_w, out=dev_w)
     sigma_w = dev_w.T @ dev_w / n
     dev_b = class_means - global_mean
     sigma_b = dev_b.T @ dev_b / c
@@ -174,16 +175,14 @@ def class_statistics(f: FeatureSet) -> ClassStats:
                       counts=counts, sigma_w=sigma_w, sigma_b=sigma_b)
 
 
-def nc1(stats: ClassStats, c_count: Optional[int] = None) -> float:
+def nc1(stats: ClassStats) -> float:
     """Variability collapse: trace(Sigma_W pinv(Sigma_B)) / C.
 
     The pseudoinverse zeroes singular values below
     1e-10 * max(p, C) * (largest singular value), so a rank-deficient or
     zero Sigma_B is handled without error.
     """
-    c = int(c_count) if c_count is not None else stats.class_count
-    if c < 1:
-        raise ValueError("c_count must be >= 1")
+    c = stats.class_count
     p = stats.dimension
     rcond = 1e-10 * max(p, c)
     pinv = np.linalg.pinv(stats.sigma_b, rcond=rcond, hermitian=True)

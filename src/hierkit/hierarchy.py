@@ -73,17 +73,11 @@ class Hierarchy:
     edges: tuple[tuple[str, str], ...]
     class_index: dict[int, str]
     is_tree: bool
-    children: dict[str, list[str]] = field(repr=False, default_factory=dict)
     parents: dict[str, list[str]] = field(repr=False, default_factory=dict)
-    node_to_class: dict[str, int] = field(repr=False, default_factory=dict)
 
     @property
     def class_count(self) -> int:
         return len(self.class_index)
-
-    @property
-    def roots(self) -> list[str]:
-        return [n for n in self.nodes if not self.parents.get(n)]
 
 
 @contextmanager
@@ -171,7 +165,7 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
         edge_list.append(edge)
 
     class_map: dict[int, str] = {}
-    node_to_class: dict[str, int] = {}
+    class_nodes: set[str] = set()
     for name, lineno, line in iter_lines(classes, "<classes>"):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[1]:
@@ -185,10 +179,10 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
         if idx in class_map:
             raise ValueError(f"{name}:{lineno}: duplicate class index {idx}")
         node = parts[1]
-        if node in node_to_class:
+        if node in class_nodes:
             raise ValueError(f"{name}:{lineno}: node {node!r} mapped to multiple class indices")
         class_map[idx] = node
-        node_to_class[node] = idx
+        class_nodes.add(node)
         add_node(node)
 
     if not class_map:
@@ -217,9 +211,7 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
         edges=tuple(edge_list),
         class_index=class_map,
         is_tree=is_tree,
-        children=children,
         parents=parents,
-        node_to_class=node_to_class,
     )
 
 

@@ -307,12 +307,12 @@ def write_predictions(log: PredictionLog, path) -> None:
     write_csv(path, ",".join(_PRED_HEADER), (f"{e},{x},{t},{p}" for e, x, t, p in zip(*columns)))
 
 
-def read_predictions(path, label_count: Optional[int] = None) -> PredictionLog:
-    """Read a prediction log CSV.
+def read_predictions(path) -> PredictionLog:
+    """Read a prediction log CSV; its label count is one more than its largest label.
 
-    Rejects a missing/renamed header column, non-integer epochs, negative or
-    (when label_count is given) out-of-range labels, ids containing a NUL,
-    and duplicate (epoch, example_id) pairs, reporting row numbers.
+    Rejects a missing/renamed header column, non-integer epochs, negative
+    labels, ids containing a NUL, and duplicate (epoch, example_id) pairs,
+    reporting row numbers.
 
     A log in the canonical subset named in the module docstring, which is
     what :func:`write_predictions` gives for ASCII ids, is parsed column-wise
@@ -324,13 +324,8 @@ def read_predictions(path, label_count: Optional[int] = None) -> PredictionLog:
     if columns is None:
         columns = _looped_predictions(path)
     epochs, ids, true, pred = columns
-    inferred = int(max(true.max(), pred.max())) + 1
-    if label_count is None:
-        label_count = inferred
-    elif inferred > label_count:
-        raise ValueError(f"{path}: label {inferred - 1} >= label count {label_count}")
     return PredictionLog(epochs=epochs, example_ids=ids, true_labels=true, pred_labels=pred,
-                         label_count=label_count)
+                         label_count=int(max(true.max(), pred.max())) + 1)
 
 
 def _columnar_predictions(path):
@@ -460,8 +455,8 @@ def write_table(obj, path) -> None:
     elif isinstance(obj, (DistanceMatrix, SimilarityMatrix)):
         write_distance_matrix(obj, path)
     elif isinstance(obj, ConfusionMatrix):
-        _write_labelled_rows(path, "," + ",".join(map(str, obj.order)), obj.order,
-                             obj.counts, str)
+        labels = range(len(obj.counts))
+        _write_labelled_rows(path, "," + ",".join(map(str, labels)), labels, obj.counts, str)
     elif isinstance(obj, NCReport):
         payload = {"nc1": obj.nc1, "beta_mu": obj.beta_mu, "beta_w": obj.beta_w,
                    "alpha_mu": obj.alpha_mu, "alpha_w": obj.alpha_w, "nc3": obj.nc3,

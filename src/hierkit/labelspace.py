@@ -123,12 +123,12 @@ def build_labelspace(h: Hierarchy, groups, name: str = "hypernyms") -> tuple[Lab
     return space, table
 
 
-def hyponym_space(class_count: int, name: str = "hyponyms") -> LabelSpace:
+def hyponym_space(class_count: int) -> LabelSpace:
     """The identity label space: every class is its own (singleton) superclass."""
     class_count = int(class_count)
     if class_count < 1:
         raise ValueError("class_count must be >= 1")
-    return LabelSpace(name=name, table=np.arange(class_count))
+    return LabelSpace(name="hyponyms", table=np.arange(class_count))
 
 
 def random_isomorphic(s: LabelSpace, seed: int) -> tuple[LabelSpace, np.ndarray]:

@@ -265,8 +265,11 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
     [0, r_max] divided by r_max (trapezoid rule on cfg.grid_points radii, or
     the exact step-function integral when cfg.method == "exact").
 
-    The reduction order (query order, then grid order) is fixed, so results
-    are bit-reproducible.
+    The grid method has one path for any class sizes, k and grid: the
+    trapezoid runs once per distinct step pattern (:func:`_grid_integrals`)
+    and gives the bits of the per-class loop over boolean means.  The
+    reduction order (query order, then grid order) is fixed, so results are
+    bit-reproducible.
     """
     classes = query.present_classes()
     if not np.array_equal(classes, support.present_classes()):
@@ -279,64 +282,91 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
     if not r_max > 0:
         raise ValueError(f"r_max must be > 0, got {r_max}")
 
-    n = classes.size
-    values = np.empty((n, n))
     if cfg.method == "exact":
         # integral of 1{d < r} over [0, r_max] is max(0, r_max - d)
         contrib = np.clip(1.0 - mins / r_max, 0.0, 1.0)
+        values = np.empty((classes.size, classes.size))
         for i, c in enumerate(classes):
             rows = query.labels == c
             values[i] = contrib[rows].mean(axis=0)
     else:
         grid = np.linspace(0.0, r_max, cfg.grid_points)
-        _, counts = np.unique(query.labels, return_counts=True)
-        m = int(counts[0])
-        if (counts == m).all() and (grid.size + 1) ** m <= 2**63:
-            values = _grid_integrals_by_pattern(mins, query.labels, grid, m) / r_max
-        else:
-            for i, c in enumerate(classes):
-                rows = mins[query.labels == c]               # (n_i, n)
-                p_r = (rows[:, :, None] < grid).mean(axis=0)  # (n, grid_points)
-                values[i] = np.trapezoid(p_r, grid, axis=-1) / r_max
+        values = _grid_integrals(mins, query.labels, grid) / r_max
     return SimilarityMatrix(labels=list(classes), values=values, r_max=r_max)
 
 
-def _grid_integrals_by_pattern(mins: np.ndarray, labels: np.ndarray, grid: np.ndarray,
-                               m: int) -> np.ndarray:
-    """The (C, n) trapezoid integrals of P_r over ``grid`` when each of the C
-    classes has exactly m query rows in ``mins`` (one column per support class).
+def _grid_integrals(mins: np.ndarray, labels: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The (C, n) trapezoid integrals of P_r over ``grid``, one row per class of
+    ``labels`` in sorted order and one column per column (support class) of ``mins``.
 
-    P_r at grid[g] is the share of a class's m distances d with d < grid[g], that
-    is with searchsorted(grid, d, side="right") <= g.  So the m sorted step
-    indices fix a pair's curve; they are packed into one int64 key in base
-    len(grid) + 1 (the caller checks that (len(grid) + 1) ** m fits), and the
-    integral runs once per distinct key.  It is the same per-row trapezoid of
-    count / m, which equals the loop's boolean mean, so every bit matches.
-    Keys and integrals are built in chunks of about 2**18 entries.
+    P_r at grid[g] is the share of a class's distances d with d < grid[g], that is
+    with searchsorted(grid, d, side="right") <= g.  So a pair's curve is fixed by
+    its sorted step indices, padded to the size of the largest class with
+    len(grid) + 1: no g reaches a pad, and no index equals one, so the pads also
+    fix the class size.  :func:`_pattern_keys` folds the indices into keys and
+    frees its index array before the keys are ranked here, where the memory
+    peaks.  The integral runs once per distinct key, on any pair that holds it,
+    from indices gathered again for that pair alone: the same per-row trapezoid
+    of count / size as the per-class loop's boolean mean, so every bit matches.
+    Patterns are integrated in chunks of about 2**18 entries.
     """
-    base = grid.size + 1
-    rows = np.argsort(labels, kind="stable")     # grouped by class, as in np.unique
-    n_classes, n = len(rows) // m, mins.shape[1]
-    keys = np.empty((n_classes, n), dtype=np.int64)
-    step = max(1, 2**18 // (m * n))
-    for lo in range(0, n_classes, step):
-        idx = np.searchsorted(grid, mins[rows[lo * m:(lo + step) * m]], side="right")
-        idx = np.sort(idx.reshape(-1, m, n), axis=1)
-        key = keys[lo:lo + step]
-        key[:] = idx[:, 0]
-        for t in range(1, m):
-            key *= base
-            key += idx[:, t]
-    patterns, inverse = np.unique(keys.ravel(), return_inverse=True)
-    place = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    g = np.arange(grid.size)
-    integrals = np.empty(patterns.size)
-    step = max(1, 2**18 // grid.size)
-    for lo in range(0, patterns.size, step):
-        idx = patterns[lo:lo + step, None] // place % base        # (patterns, m)
-        count = np.count_nonzero(idx[:, :, None] <= g, axis=1)  # (patterns, grid)
-        integrals[lo:lo + step] = np.trapezoid(count / m, grid, axis=-1)
-    return integrals[inverse].reshape(n_classes, n)
+    _, sizes = np.unique(labels, return_counts=True)
+    n_classes, n = sizes.size, mins.shape[1]
+    # table[c, r]: the row of the r-th query point of class c; -1 pads the class
+    table = np.full((n_classes, int(sizes.max())), -1)
+    rows = np.argsort(labels, kind="stable")
+    cls = np.repeat(np.arange(n_classes), sizes)
+    table[cls, np.arange(rows.size) - (np.cumsum(sizes) - sizes)[cls]] = rows
+    ranks = np.unique(_pattern_keys(mins, table, grid), return_inverse=True)[1]
+    pair = np.empty(ranks.max() + 1, dtype=np.intp)
+    pair[ranks] = np.arange(ranks.size)
+    g = np.arange(grid.size, dtype=np.min_scalar_type(grid.size + 1))
+    integrals = np.empty(pair.size)
+    chunk = max(1, 2**18 // grid.size)
+    for lo in range(0, pair.size, chunk):
+        c, j = np.divmod(pair[lo:lo + chunk], n)
+        steps = _step_indices(mins, table[c], j[:, None], grid)    # (patterns, m)
+        count = np.count_nonzero(steps.T[:, :, None] <= g, axis=0)  # (patterns, grid)
+        integrals[lo:lo + chunk] = np.trapezoid(count / sizes[c, None], grid, axis=-1)
+    return integrals[ranks].reshape(n_classes, n)
+
+
+def _pattern_keys(mins: np.ndarray, table: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """One int64 key per (class, column) pair, class-major, equal only for equal
+    padded step indices.
+
+    A key folds in one index column at a time in base len(grid) + 2.  Whenever
+    the next fold could overflow int64, the keys are replaced by their ranks
+    first, so any k and any grid fit.  Indices are gathered in chunks of about
+    2**18 entries.
+    """
+    pad = grid.size + 1
+    (n_classes, m), n = table.shape, mins.shape[1]
+    # keys is allocated before steps, so that freeing steps on return leaves no
+    # hole below keys in the heap: that hole cost 2.6 MB of peak RSS on the cover bench
+    keys, bound = np.zeros(n_classes * n, dtype=np.int64), 0
+    steps = np.empty((m, n_classes, n), dtype=np.min_scalar_type(pad))
+    chunk = max(1, 2**18 // (m * n))
+    for lo in range(0, n_classes, chunk):
+        idx = _step_indices(mins, table[lo:lo + chunk], slice(None), grid)  # (classes, m, n)
+        steps[:, lo:lo + chunk] = idx.transpose(1, 0, 2)
+    for column in steps:
+        if bound * (pad + 1) + pad >= 2**63:
+            keys = np.unique(keys, return_inverse=True)[1]
+            bound = int(keys.max())
+        keys *= pad + 1
+        keys += column.ravel()
+        bound = bound * (pad + 1) + pad
+    return keys
+
+
+def _step_indices(mins: np.ndarray, rows: np.ndarray, cols, grid: np.ndarray) -> np.ndarray:
+    """searchsorted(grid, mins[rows, cols], side="right") sorted along axis 1, with
+    the pad len(grid) + 1 wherever ``rows`` is -1, in the smallest dtype that holds it."""
+    idx = np.searchsorted(grid, mins[rows, cols], side="right")
+    idx[rows < 0] = grid.size + 1
+    idx.sort(axis=1)
+    return idx.astype(np.min_scalar_type(grid.size + 1), copy=False)
 
 
 def to_distance_matrix(a: SimilarityMatrix) -> DistanceMatrix:

@@ -7,7 +7,7 @@ this reporting boundary; probabilities stay in [0, 1] internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,8 +28,6 @@ __all__ = [
     "residual_error",
     "theoretical_superclass_accuracy",
 ]
-
-_SCALES = ("percent", "unit", "signed")
 
 
 @dataclass
@@ -91,11 +89,10 @@ class PredictionLog:
 
 @dataclass
 class MetricSeries:
-    """A per-epoch metric curve; ``scale`` is one of percent/unit/signed."""
+    """A per-epoch metric curve."""
 
     epochs: np.ndarray
     values: np.ndarray
-    scale: str
 
     def __post_init__(self) -> None:
         self.epochs = np.asarray(self.epochs, dtype=np.int64)
@@ -108,27 +105,18 @@ class MetricSeries:
             raise ValueError("epochs must be strictly increasing")
         if not np.isfinite(self.values).all():
             raise ValueError("metric values must be finite")
-        if self.scale not in _SCALES:
-            raise ValueError(f"scale must be one of {_SCALES}, got {self.scale!r}")
-
-    @property
-    def points(self) -> list[tuple[int, float]]:
-        return [(int(e), float(v)) for e, v in zip(self.epochs, self.values)]
 
 
 @dataclass
 class ConfusionMatrix:
-    """Counts[i][j] = records with true=order[i], pred=order[j]."""
+    """Counts[i][j] = records with true label i and predicted label j."""
 
-    order: list[int]
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        self.order = [int(x) for x in self.order]
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        n = len(self.order)
-        if self.counts.shape != (n, n):
-            raise ValueError(f"counts shape {self.counts.shape} does not match {n} labels")
+        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
+            raise ValueError(f"counts shape {self.counts.shape} is not square")
         if (self.counts < 0).any():
             raise ValueError("confusion counts must be non-negative")
 
@@ -141,7 +129,7 @@ def accuracy_series(log: PredictionLog) -> MetricSeries:
     correct = (log.true_labels == log.pred_labels).astype(np.float64)
     sums = np.add.reduceat(correct, starts)
     counts = np.diff(np.append(starts, len(log)))
-    return MetricSeries(epochs=epochs, values=100.0 * sums / counts, scale="percent")
+    return MetricSeries(epochs=epochs, values=100.0 * sums / counts)
 
 
 def baseline(s: "LabelSpace") -> float:
@@ -160,7 +148,7 @@ def relative_accuracy(a: MetricSeries) -> MetricSeries:
     top = float(a.values[int(np.argmax(a.values))])
     if top <= 0:
         raise ValueError("relative accuracy undefined: max accuracy is 0")
-    return MetricSeries(epochs=a.epochs, values=a.values / top, scale="unit")
+    return MetricSeries(epochs=a.epochs, values=a.values / top)
 
 
 def relative_gain(a: MetricSeries, b: float) -> MetricSeries:
@@ -172,7 +160,7 @@ def relative_gain(a: MetricSeries, b: float) -> MetricSeries:
     denom = top - 100.0 * b
     if denom <= 0:
         raise ValueError("relative gain undefined: max accuracy does not exceed the baseline")
-    return MetricSeries(epochs=a.epochs, values=(a.values - 100.0 * b) / denom, scale="unit")
+    return MetricSeries(epochs=a.epochs, values=(a.values - 100.0 * b) / denom)
 
 
 def residual_error(a: MetricSeries) -> MetricSeries:
@@ -180,7 +168,7 @@ def residual_error(a: MetricSeries) -> MetricSeries:
     denom = 100.0 - float(a.values[-1])
     if denom <= 0:
         raise ValueError("residual error undefined: final accuracy is 100")
-    return MetricSeries(epochs=a.epochs, values=(100.0 - a.values) / denom - 1.0, scale="signed")
+    return MetricSeries(epochs=a.epochs, values=(100.0 - a.values) / denom - 1.0)
 
 
 def theoretical_superclass_accuracy(p_h: float, s: "LabelSpace") -> float:
@@ -206,21 +194,14 @@ def convergence_epoch(a: MetricSeries, fraction: float = 0.95) -> int:
     return int(a.epochs[hits[0]])
 
 
-def confusion_matrix(log: PredictionLog, order) -> ConfusionMatrix:
-    """Confusion counts for a single-epoch log slice, rows/cols in ``order``."""
+def confusion_matrix(log: PredictionLog) -> ConfusionMatrix:
+    """Confusion counts for a single-epoch log slice, rows/cols in label order."""
     if len(log) == 0:
         raise ValueError("cannot build a confusion matrix from an empty log")
     if log.epoch_values().size != 1:
         raise ValueError("confusion_matrix expects a single-epoch log slice; "
                          "use PredictionLog.at_epoch first")
-    # allocated before any per-label list, so a label count too large to hold
-    # fails here at once instead of after building a list of that length
     counts = np.zeros((log.label_count, log.label_count), dtype=np.int64)
-    order = [int(x) for x in order]
-    if sorted(order) != list(range(log.label_count)):
-        raise ValueError(f"order must be a permutation of 0..{log.label_count - 1}")
-    pos = np.empty(log.label_count, dtype=np.int64)
-    pos[np.asarray(order)] = np.arange(log.label_count)
-    np.add.at(counts, (pos[log.true_labels], pos[log.pred_labels]), 1)
-    return ConfusionMatrix(order=order, counts=counts)
+    np.add.at(counts, (log.true_labels, log.pred_labels), 1)
+    return ConfusionMatrix(counts=counts)
 

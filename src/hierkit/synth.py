@@ -175,7 +175,7 @@ def gen_prediction_trajectory(h: Hierarchy, s: LabelSpace, epochs: int,
                       ("within_hypernym_error_fraction_schedule", within)):
         if arr.shape != (epochs,):
             raise ValueError(f"{name} must have length {epochs}")
-        if (arr < 0).any() or (arr > 1).any():
+        if not ((arr >= 0) & (arr <= 1)).all():  # NaN fails both tests
             raise ValueError(f"{name} values must be in [0, 1]")
     c = h.class_count
     if s.class_count != c:

@@ -212,6 +212,17 @@ class TestSynthPredictions:
         assert "--accuracy expects 'linear:a:b' or a comma list, got 'linear:a:0.5'" \
             in capsys.readouterr().err
 
+    def test_nan_schedule_exits_1(self, tax, spacefile, tmp_path, capsys):
+        edges, classes, _ = tax
+        out = tmp_path / "x"
+        assert run(["synth", "predictions", "--hierarchy", str(edges),
+                    "--classes", str(classes), "--labelspace", str(spacefile),
+                    "--epochs", "2", "--examples", "12",
+                    "--accuracy", "nan,nan", "--within", "linear:nan:nan",
+                    "--seed", "1", "--out", str(out)]) == 1
+        assert "values must be in [0, 1]" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
 
 class TestSynthEtf:
     def test_frame_written(self, tmp_path):

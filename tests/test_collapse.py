@@ -103,11 +103,6 @@ class TestNc1:
                     sigma_w=np.array([[3.0]]), sigma_b=np.zeros((1, 1)))
         assert nc1(st) == 0.0
 
-    def test_explicit_class_count(self):
-        st = _stats([[-1.0], [1.0]], sigma_w=np.array([[1.0]]),
-                    sigma_b=np.array([[2.0]]))
-        assert nc1(st, c_count=4) == pytest.approx(0.125)
-
 
 class TestNc2:
     def test_etf_is_perfectly_regular(self):

@@ -3,7 +3,7 @@
 Both feature-space callers (mutual-cover minima and the nearest-class-centre
 readout) must match the reference bit for bit, including exact ties, which
 go to the lower index.  So must the cover's grid integral, computed once per
-step pattern, against the per-class loop.
+step pattern, against the per-class loop that it replaced.
 """
 
 import numpy as np
@@ -12,9 +12,8 @@ from scipy.spatial.distance import cdist
 
 import hierkit.manifold as manifold
 from hierkit.collapse import ClassStats, nearest_mean_labels
-from hierkit.manifold import (CoverConfig, FeatureSet, _block_rows,
-                              _grid_integrals_by_pattern, _screen_slack, cover_similarity,
-                              min_sq_distances, nearest_refs)
+from hierkit.manifold import (CoverConfig, FeatureSet, _block_rows, _grid_integrals,
+                              _screen_slack, cover_similarity, min_sq_distances, nearest_refs)
 
 
 def _etf_case():
@@ -139,7 +138,7 @@ def test_pooled_minima_match_serial_cdist(monkeypatch, case, workers):
 # --------------------------------------------- cover grid integral per pattern
 
 def _loop_grid_values(mins, labels, grid, r_max):
-    """The per-class loop of the grid cover: the reference for the pattern path."""
+    """The per-class loop of the grid cover: the reference for the pattern kernel."""
     classes = np.unique(labels)
     values = np.empty((classes.size, mins.shape[1]))
     for i, c in enumerate(classes):
@@ -149,11 +148,11 @@ def _loop_grid_values(mins, labels, grid, r_max):
     return values
 
 
-def _grid_case(n_classes, m, n_support, grid_points, seed):
-    # Shuffled class rows; a third of the distances sit exactly on grid
-    # points, and r_max lies below the largest tenth of the distances.
+def _grid_case(counts, n_support, grid_points, seed):
+    # Shuffled class rows, counts[c] of class c; a third of the distances sit
+    # exactly on grid points, and r_max lies below the largest tenth of them.
     rng = np.random.default_rng(seed)
-    labels = rng.permutation(np.repeat(np.arange(n_classes), m))
+    labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
     mins = rng.gamma(4.0, size=(len(labels), n_support))
     r_max = float(np.quantile(mins, 0.9))
     grid = np.linspace(0.0, r_max, grid_points)
@@ -162,14 +161,33 @@ def _grid_case(n_classes, m, n_support, grid_points, seed):
     return mins, labels, grid, r_max
 
 
-@pytest.mark.parametrize("n_classes, m, n_support, grid_points",
-                         [(320, 3, 320, 200), (40, 5, 60, 7), (25, 1, 30, 200), (12, 2, 9, 2)])
-def test_pattern_integral_matches_the_loop(n_classes, m, n_support, grid_points):
-    # (320, 3, 320) builds its keys in two chunks of classes and integrates
-    # its patterns in several chunks.
-    mins, labels, grid, r_max = _grid_case(n_classes, m, n_support, grid_points, seed=m)
+@pytest.mark.parametrize("counts, n_support, grid_points, reranks", [
+    pytest.param([3] * 320, 320, 200, 0, id="320-3-320-200"),
+    pytest.param([5] * 40, 60, 7, 0, id="40-5-60-7"),
+    pytest.param([1] * 25, 30, 200, 0, id="25-1-30-200"),
+    pytest.param([2] * 12, 9, 2, 0, id="12-2-9-2"),
+    pytest.param([3, 4, 3, 5, 3, 1, 7, 1] * 6, 40, 50, 0, id="unequal_counts"),
+    pytest.param([10] * 30, 40, 200, 1, id="k10_202_pow_10_overflows"),
+    pytest.param([12] * 20, 30, 5000, 2, id="k12_5002_pow_12_reranks_twice"),
+])
+def test_pattern_integral_matches_the_loop(monkeypatch, counts, n_support, grid_points,
+                                           reranks):
+    # ([3] * 320, 320) gathers its indices in two chunks of classes and
+    # integrates its patterns in several chunks.
+    mins, labels, grid, r_max = _grid_case(counts, n_support, grid_points, seed=len(counts))
     assert (mins > r_max).any() and np.isin(mins, grid).any()
-    got = _grid_integrals_by_pattern(mins, labels, grid, m) / r_max
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("return_inverse", False))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    got = _grid_integrals(mins, labels, grid) / r_max
+    monkeypatch.undo()
+    # one more call with return_inverse finds the distinct keys at the end
+    assert sum(calls) == reranks + 1
     assert np.array_equal(got, _loop_grid_values(mins, labels, grid, r_max))
 
 
@@ -186,27 +204,26 @@ def _cover_inputs(counts, p=6, seed=10):
     return query, support, mins
 
 
-@pytest.mark.parametrize("counts, grid_points, pattern_path", [
-    ([4] * 9, 50, True),
-    ([3, 4, 3, 5, 3, 1], 50, False),   # unequal class counts
-    ([10] * 5, 800, False),            # 801**10 overflows int64
+@pytest.mark.parametrize("counts, grid_points", [
+    ([4] * 9, 50),
+    ([3, 4, 3, 5, 3, 1], 50),   # unequal class counts
+    ([10] * 5, 800),            # 802**10 overflows int64
 ])
-def test_cover_similarity_grid_takes_the_right_path(monkeypatch, counts, grid_points,
-                                                    pattern_path):
+def test_cover_similarity_grid_runs_the_one_kernel(monkeypatch, counts, grid_points):
     query, support, mins = _cover_inputs(counts)
     for r_max in (None, float(np.median(mins))):
         taken = []
 
         def spy(*args):
             taken.append(True)
-            return _grid_integrals_by_pattern(*args)
+            return _grid_integrals(*args)
 
-        monkeypatch.setattr(manifold, "_grid_integrals_by_pattern", spy)
+        monkeypatch.setattr(manifold, "_grid_integrals", spy)
         sim = cover_similarity(query, support,
                                CoverConfig(k=1, r_max=r_max, grid_points=grid_points))
         used = r_max if r_max is not None else float(mins.max())
         grid = np.linspace(0.0, used, grid_points)
-        assert bool(taken) == pattern_path
+        assert taken == [True]
         assert sim.r_max == used
         assert np.array_equal(sim.values, _loop_grid_values(mins, query.labels, grid, used))
 

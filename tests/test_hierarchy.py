@@ -12,7 +12,6 @@ class TestParse:
         h = parse_hierarchy(["root\ta", "root\tb"], ["0\ta", "1\tb"])
         assert h.class_count == 2
         assert h.is_tree
-        assert h.roots == ["root"]
         assert h.class_index == {0: "a", 1: "b"}
 
     def test_cycle_rejected(self):
@@ -26,7 +25,6 @@ class TestParse:
     def test_dag_two_parents_not_a_tree(self):
         h = parse_hierarchy(["r\tx", "s\tx", "x\tleaf"], ["0\tleaf"])
         assert not h.is_tree
-        assert set(h.roots) == {"r", "s"}
 
     def test_duplicate_edges_collapse(self):
         h = parse_hierarchy(["root\ta", "root\ta", "root\tb"], ["0\ta", "1\tb"])

@@ -287,12 +287,6 @@ class TestPredictionsIO:
         with pytest.raises(ValueError, match="non-integer epoch 'one'"):
             read_predictions(path)
 
-    def test_label_count_bound(self, tmp_path):
-        path = tmp_path / "p.csv"
-        write_predictions(_log(), path)
-        with pytest.raises(ValueError, match="label 1 >= label count 1"):
-            read_predictions(path, label_count=1)
-
     def test_empty_body_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("epoch,example_id,true_label,pred_label\n")
@@ -302,17 +296,16 @@ class TestPredictionsIO:
 
 class TestWriteTable:
     def test_metric_series_csv_bytes(self, tmp_path):
-        series = MetricSeries(epochs=np.array([1, 2]), values=np.array([50.0, 91.25]),
-                              scale="percent")
+        series = MetricSeries(epochs=np.array([1, 2]), values=np.array([50.0, 91.25]))
         path = tmp_path / "m.csv"
         write_table(series, path)
         assert path.read_text() == "epoch,value\n1,50.000000\n2,91.250000\n"
 
     def test_confusion_csv_bytes(self, tmp_path):
-        m = ConfusionMatrix(order=[1, 0], counts=np.array([[2, 0], [1, 3]]))
+        m = ConfusionMatrix(counts=np.array([[2, 0], [1, 3]]))
         path = tmp_path / "c.csv"
         write_table(m, path)
-        assert path.read_text() == ",1,0\n1,2,0\n0,1,3\n"
+        assert path.read_text() == ",0,1\n0,2,0\n1,1,3\n"
 
     def test_nc_report_key_order(self, tmp_path):
         rep = NCReport(nc1=0.1, beta_mu=0.2, beta_w=0.3, alpha_mu=0.4,

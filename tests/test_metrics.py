@@ -17,11 +17,11 @@ def _log(epochs, true, pred, n_labels):
                          label_count=n_labels)
 
 
-def _series(values, epochs=None, scale="percent"):
+def _series(values, epochs=None):
     if epochs is None:
         epochs = range(1, len(values) + 1)
     return MetricSeries(epochs=np.array(list(epochs)),
-                        values=np.array(values, dtype=float), scale=scale)
+                        values=np.array(values, dtype=float))
 
 
 def _sized_space(sizes):
@@ -53,7 +53,6 @@ class TestAccuracySeries:
         log = _log([1, 1, 1, 1], [0, 1, 2, 3], [0, 1, 2, 0], 4)
         a = accuracy_series(log)
         assert a.values[0] == 75.0
-        assert a.scale == "percent"
 
     def test_all_correct(self):
         log = _log([1, 1], [0, 1], [0, 1], 2)
@@ -94,7 +93,6 @@ class TestRelativeAccuracy:
     def test_direct_ratio(self):
         r = relative_accuracy(_series([50, 100]))
         assert list(r.values) == [0.5, 1.0]
-        assert r.scale == "unit"
 
     def test_constant_series(self):
         r = relative_accuracy(_series([80, 80, 80]))
@@ -132,7 +130,6 @@ class TestResidualError:
     def test_final_epoch_is_zero(self):
         e = residual_error(_series([80, 90]))
         assert e.values[-1] == pytest.approx(0.0)
-        assert e.scale == "signed"
 
     def test_hand_value(self):
         e = residual_error(_series([80, 90]))
@@ -184,34 +181,21 @@ class TestConvergenceEpoch:
 class TestConfusionMatrix:
     def test_perfect_is_diagonal(self):
         log = _log([1] * 3, [0, 1, 2], [0, 1, 2], 3)
-        cm = confusion_matrix(log, order=[0, 1, 2])
+        cm = confusion_matrix(log)
         assert np.array_equal(cm.counts, np.eye(3, dtype=np.int64))
 
     def test_two_record_hand_tally(self):
         log = _log([1, 1], [0, 2], [1, 2], 3)
-        cm = confusion_matrix(log, order=[0, 1, 2])
+        cm = confusion_matrix(log)
         expected = np.zeros((3, 3), dtype=np.int64)
         expected[0, 1] = 1
         expected[2, 2] = 1
         assert np.array_equal(cm.counts, expected)
 
-    def test_reorder_permutes_rows_and_columns(self):
-        log = _log([1, 1, 1], [0, 1, 2], [1, 1, 0], 3)
-        base = confusion_matrix(log, order=[0, 1, 2])
-        perm = confusion_matrix(log, order=[2, 0, 1])
-        p = [2, 0, 1]
-        assert np.array_equal(perm.counts, base.counts[np.ix_(p, p)])
-        assert perm.counts.sum() == base.counts.sum() == 3
-
     def test_multi_epoch_slice_rejected(self):
         log = _log([1, 2], [0, 0], [0, 0], 1)
         with pytest.raises(ValueError, match="single-epoch"):
-            confusion_matrix(log, order=[0])
-
-    def test_order_must_be_permutation(self):
-        log = _log([1], [0], [0], 2)
-        with pytest.raises(ValueError, match="permutation"):
-            confusion_matrix(log, order=[0, 0])
+            confusion_matrix(log)
 
 
 class TestMetricSeries:
@@ -219,10 +203,3 @@ class TestMetricSeries:
         with pytest.raises(ValueError, match="strictly increasing"):
             _series([1, 2], epochs=[1, 1])
 
-    def test_scale_validated(self):
-        with pytest.raises(ValueError, match="scale"):
-            _series([1.0], scale="ratio")
-
-    def test_points_view(self):
-        s = _series([10.0, 20.0])
-        assert s.points == [(1, 10.0), (2, 20.0)]

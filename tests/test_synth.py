@@ -147,7 +147,7 @@ class TestPredictionTrajectory:
         log = gen_prediction_trajectory(h, s, epochs=1, accuracy_schedule=[1.0],
                                         within_hypernym_error_fraction_schedule=[0.0],
                                         examples=40, seed=2)
-        m = confusion_matrix(log, order=[0, 1, 2, 3])
+        m = confusion_matrix(log)
         assert np.trace(m.counts) == 40
         assert m.counts.sum() == 40
 
@@ -186,6 +186,17 @@ class TestPredictionTrajectory:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             gen_prediction_trajectory(h, s, epochs=1, accuracy_schedule=[1.5],
                                       within_hypernym_error_fraction_schedule=[0],
+                                      examples=4, seed=0)
+
+    @pytest.mark.parametrize("acc, within, name", [
+        ([float("nan")], [0.5], "accuracy_schedule"),
+        ([0.5], [float("nan")], "within_hypernym_error_fraction_schedule"),
+    ])
+    def test_nan_schedule_rejected(self, acc, within, name):
+        h, s, _ = balanced_hierarchy(2, 2)
+        with pytest.raises(ValueError, match=rf"{name} values must be in \[0, 1\]"):
+            gen_prediction_trajectory(h, s, epochs=1, accuracy_schedule=acc,
+                                      within_hypernym_error_fraction_schedule=within,
                                       examples=4, seed=0)
 
 
