@@ -74,6 +74,8 @@ def _parse_sizes(text: str) -> list[int]:
         raise _UsageError(f"--sizes must be comma-separated integers, got {text!r}") from None
     if not sizes or any(s < 1 for s in sizes):
         raise _UsageError("--sizes entries must be positive")
+    if max(sizes) >= 2**63:
+        raise _UsageError(f"--sizes entry {max(sizes)} does not fit in int64")
     return sizes
 
 
@@ -172,6 +174,9 @@ def _cmd_manifold_ccc(args, out: Path) -> None:
 def _cmd_nc_compute(args, out: Path) -> None:
     f = read_features(args.features)
     head = read_head(args.head)
+    if head.class_count != f.class_count:
+        raise ValueError(f"{args.head}: head has {head.class_count} rows, but "
+                         f"{args.features} has {f.class_count} classes")
     stats = class_statistics(f)
     report = nc_report(f, head, "hyponyms", stats=stats)
     write_table(report, out / "nc_hyponyms.json")

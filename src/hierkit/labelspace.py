@@ -46,7 +46,9 @@ class LabelSpace:
             raise ValueError("mapping table must be a non-empty 1-D array")
         if self.table.min() < 0:
             raise ValueError(f"negative superclass index {int(self.table.min())}")
-        gaps = np.flatnonzero(self.sizes == 0)
+        # C classes fill at most C - 1 indices below C when any index is >= C,
+        # so clipping such indices to C keeps the first gap and bounds the count
+        gaps = np.flatnonzero(np.bincount(np.minimum(self.table, self.class_count)) == 0)
         if gaps.size:
             raise ValueError(f"superclass index {gaps[0]} has no members (gapped indices)")
 
@@ -183,6 +185,8 @@ def read_labelspace(path) -> LabelSpace:
             raise ValueError(f"{name}:{lineno}: duplicate class index {ci}")
         if si < 0:
             raise ValueError(f"{name}:{lineno}: negative superclass index {si}")
+        if si >= 2**63:
+            raise ValueError(f"{name}:{lineno}: superclass index {si} does not fit in int64")
         pairs[ci] = si
     if not pairs:
         raise ValueError(f"{path}: label space dump is empty")

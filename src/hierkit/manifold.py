@@ -265,10 +265,11 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
     [0, r_max] divided by r_max (trapezoid rule on cfg.grid_points radii, or
     the exact step-function integral when cfg.method == "exact").
 
-    The grid method has one path for any class sizes, k and grid: the
-    trapezoid runs once per distinct step pattern (:func:`_grid_integrals`)
-    and gives the bits of the per-class loop over boolean means.  The
-    reduction order (query order, then grid order) is fixed, so results are
+    The grid method has one path for any class sizes, k and grid:
+    :func:`_grid_integrals` groups the (class, support class) pairs by their
+    sorted step indices with one lexsort, runs the trapezoid once per group and
+    gives the bits of the per-class loop over boolean means.  The reduction
+    order (query order, then grid order) is fixed, so results are
     bit-reproducible.
     """
     classes = query.present_classes()
@@ -300,73 +301,49 @@ def _grid_integrals(mins: np.ndarray, labels: np.ndarray, grid: np.ndarray) -> n
     ``labels`` in sorted order and one column per column (support class) of ``mins``.
 
     P_r at grid[g] is the share of a class's distances d with d < grid[g], that is
-    with searchsorted(grid, d, side="right") <= g.  So a pair's curve is fixed by
-    its sorted step indices, padded to the size of the largest class with
-    len(grid) + 1: no g reaches a pad, and no index equals one, so the pads also
-    fix the class size.  :func:`_pattern_keys` folds the indices into keys and
-    frees its index array before the keys are ranked here, where the memory
-    peaks.  The integral runs once per distinct key, on any pair that holds it,
-    from indices gathered again for that pair alone: the same per-row trapezoid
-    of count / size as the per-class loop's boolean mean, so every bit matches.
-    Patterns are integrated in chunks of about 2**18 entries.
+    with searchsorted(grid, d, side="right") <= g.  So a (class, column) pair's
+    curve is fixed by its sorted step indices, padded to the size of the largest
+    class with len(grid) + 1: no g reaches a pad, and the entries that are not pads
+    count the class.  One lexsort brings equal patterns together, and a pattern
+    starts wherever any of its indices differs from the pair before.  The integral
+    runs once per distinct pattern: the same per-row trapezoid of count / size as
+    the per-class loop's boolean mean, so every bit matches.  Step indices are
+    computed, and patterns integrated, in chunks of about 2**18 entries.
     """
     _, sizes = np.unique(labels, return_counts=True)
     n_classes, n = sizes.size, mins.shape[1]
-    # table[c, r]: the row of the r-th query point of class c; -1 pads the class
+    # table[c, r]: the row of the r-th query point of class c; -1 picks the pad row
     table = np.full((n_classes, int(sizes.max())), -1)
     rows = np.argsort(labels, kind="stable")
     cls = np.repeat(np.arange(n_classes), sizes)
     table[cls, np.arange(rows.size) - (np.cumsum(sizes) - sizes)[cls]] = rows
-    ranks = np.unique(_pattern_keys(mins, table, grid), return_inverse=True)[1]
-    pair = np.empty(ranks.max() + 1, dtype=np.intp)
-    pair[ranks] = np.arange(ranks.size)
-    g = np.arange(grid.size, dtype=np.min_scalar_type(grid.size + 1))
-    integrals = np.empty(pair.size)
-    chunk = max(1, 2**18 // grid.size)
-    for lo in range(0, pair.size, chunk):
-        c, j = np.divmod(pair[lo:lo + chunk], n)
-        steps = _step_indices(mins, table[c], j[:, None], grid)    # (patterns, m)
-        count = np.count_nonzero(steps.T[:, :, None] <= g, axis=0)  # (patterns, grid)
-        integrals[lo:lo + chunk] = np.trapezoid(count / sizes[c, None], grid, axis=-1)
-    return integrals[ranks].reshape(n_classes, n)
-
-
-def _pattern_keys(mins: np.ndarray, table: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """One int64 key per (class, column) pair, class-major, equal only for equal
-    padded step indices.
-
-    A key folds in one index column at a time in base len(grid) + 2.  Whenever
-    the next fold could overflow int64, the keys are replaced by their ranks
-    first, so any k and any grid fit.  Indices are gathered in chunks of about
-    2**18 entries.
-    """
     pad = grid.size + 1
-    (n_classes, m), n = table.shape, mins.shape[1]
-    # keys is allocated before steps, so that freeing steps on return leaves no
-    # hole below keys in the heap: that hole cost 2.6 MB of peak RSS on the cover bench
-    keys, bound = np.zeros(n_classes * n, dtype=np.int64), 0
-    steps = np.empty((m, n_classes, n), dtype=np.min_scalar_type(pad))
-    chunk = max(1, 2**18 // (m * n))
-    for lo in range(0, n_classes, chunk):
-        idx = _step_indices(mins, table[lo:lo + chunk], slice(None), grid)  # (classes, m, n)
-        steps[:, lo:lo + chunk] = idx.transpose(1, 0, 2)
-    for column in steps:
-        if bound * (pad + 1) + pad >= 2**63:
-            keys = np.unique(keys, return_inverse=True)[1]
-            bound = int(keys.max())
-        keys *= pad + 1
-        keys += column.ravel()
-        bound = bound * (pad + 1) + pad
-    return keys
-
-
-def _step_indices(mins: np.ndarray, rows: np.ndarray, cols, grid: np.ndarray) -> np.ndarray:
-    """searchsorted(grid, mins[rows, cols], side="right") sorted along axis 1, with
-    the pad len(grid) + 1 wherever ``rows`` is -1, in the smallest dtype that holds it."""
-    idx = np.searchsorted(grid, mins[rows, cols], side="right")
-    idx[rows < 0] = grid.size + 1
-    idx.sort(axis=1)
-    return idx.astype(np.min_scalar_type(grid.size + 1), copy=False)
+    idx = np.full((len(mins) + 1, n), pad, dtype=np.min_scalar_type(pad))
+    chunk = max(1, 2**18 // n)
+    for lo in range(0, len(mins), chunk):
+        hi = min(lo + chunk, len(mins))
+        idx[lo:hi] = np.searchsorted(grid, mins[lo:hi], side="right")
+    # steps[:, c * n + j]: the step indices of class c in column j, sorted
+    steps = idx[table].transpose(1, 0, 2).reshape(table.shape[1], -1)
+    steps.sort(axis=0)
+    order = np.lexsort(steps)
+    steps = steps.take(order, axis=1)
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for row in steps:
+        new[1:] |= row[1:] != row[:-1]
+    starts = np.flatnonzero(new)
+    patterns = steps[:, starts]
+    size = np.count_nonzero(patterns < pad, axis=0)
+    g = np.arange(grid.size, dtype=patterns.dtype)
+    integrals = np.empty(patterns.shape[1])
+    chunk = max(1, 2**18 // grid.size)
+    for lo in range(0, integrals.size, chunk):
+        count = np.count_nonzero(patterns[:, lo:lo + chunk, None] <= g, axis=0)
+        integrals[lo:lo + chunk] = np.trapezoid(count / size[lo:lo + chunk, None], grid, axis=-1)
+    values = np.empty(order.size)
+    values[order] = np.repeat(integrals, np.diff(starts, append=order.size))
+    return values.reshape(n_classes, n)
 
 
 def to_distance_matrix(a: SimilarityMatrix) -> DistanceMatrix:

@@ -251,6 +251,14 @@ class TestOracle:
         assert abs(payload["monte_carlo"] - payload["analytic"]) < \
             4 * payload["stderr"] + 1e-12
 
+    def test_size_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        assert run(["oracle", "superclass-acc", "--p", "0.5",
+                    "--sizes", "100000000000000000000000,4",
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("usage error: --sizes entry 100000000000000000000000 "
+                       "does not fit in int64\n")
+
     def test_default_seed_reproducible(self, tmp_path):
         outs = []
         for name in ("o1", "o2"):
@@ -606,6 +614,36 @@ class TestMalformedInputsExitOne:
         self._fails(["nc", "compute", "--features", str(featdir / "features_e002.bin"),
                      "--head", str(head), "--labelspace", str(spacefile)], tmp_path, capsys,
                     f"{head}: head has no classes")
+
+    @pytest.mark.parametrize("index, message", [
+        (2**63, "{space}:2: superclass index 9223372036854775808 does not fit in int64"),
+        # a bincount as long as 2**40 + 1 would need 8 TiB
+        (2**40, "{space}: superclass index 1 has no members (gapped indices)"),
+    ], ids=["beyond_int64", "beyond_class_count"])
+    def test_oversized_superclass_index(self, predfile, tmp_path, capsys, index, message):
+        space = tmp_path / "bad.tsv"
+        space.write_text(f"0\t0\n1\t{index}\n")
+        message = message.format(space=space)
+        self._fails(["labelspace", "random", "--labelspace", str(space), "--seed", "0"],
+                    tmp_path, capsys, message)
+        self._fails(["metrics", "curves", "--log", str(predfile), "--labelspace", str(space)],
+                    tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    def test_head_and_features_class_counts_differ(self, tmp_path, capsys, fmt):
+        # class_statistics would allocate per class: 2**62 rows are too many
+        feats, head = tmp_path / f"f.{fmt}", tmp_path / "h.bin"
+        write_head(ClassifierHead(weights=np.eye(2), bias=np.zeros(2)), head)
+        if fmt == "bin":
+            feats.write_bytes(b"HBFEAT01" + np.array([2, 2, 2**62], dtype="<u8").tobytes()
+                              + np.array([0, 1], dtype="<u4").tobytes()
+                              + np.eye(2, dtype="<f4").tobytes())
+            count = 2**62
+        else:
+            feats.write_text(f"label,f0,f1\n0,1.0,0.0\n{2**62},0.0,1.0\n")
+            count = 2**62 + 1
+        self._fails(["nc", "compute", "--features", str(feats), "--head", str(head)],
+                    tmp_path, capsys, f"{head}: head has 2 rows, but {feats} has {count} classes")
 
     def test_empty_cover_matrix_refused(self, featdir, tmp_path, capsys, monkeypatch):
         # Features always hold a class, so stub an empty cover to reach the

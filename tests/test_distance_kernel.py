@@ -161,33 +161,25 @@ def _grid_case(counts, n_support, grid_points, seed):
     return mins, labels, grid, r_max
 
 
-@pytest.mark.parametrize("counts, n_support, grid_points, reranks", [
-    pytest.param([3] * 320, 320, 200, 0, id="320-3-320-200"),
-    pytest.param([5] * 40, 60, 7, 0, id="40-5-60-7"),
-    pytest.param([1] * 25, 30, 200, 0, id="25-1-30-200"),
-    pytest.param([2] * 12, 9, 2, 0, id="12-2-9-2"),
-    pytest.param([3, 4, 3, 5, 3, 1, 7, 1] * 6, 40, 50, 0, id="unequal_counts"),
-    pytest.param([10] * 30, 40, 200, 1, id="k10_202_pow_10_overflows"),
-    pytest.param([12] * 20, 30, 5000, 2, id="k12_5002_pow_12_reranks_twice"),
+@pytest.mark.parametrize("counts, n_support, grid_points", [
+    pytest.param([3] * 320, 320, 200, id="320-3-320-200"),
+    pytest.param([5] * 40, 60, 7, id="40-5-60-7"),
+    pytest.param([1] * 25, 30, 200, id="25-1-30-200"),
+    pytest.param([2] * 12, 9, 2, id="12-2-9-2"),
+    pytest.param([3, 4, 3, 5, 3, 1, 7, 1] * 6, 40, 50, id="unequal_counts"),
+    # 202**10 and 5002**12 exceed 2**63: these patterns fit in no int64 key
+    pytest.param([10] * 30, 40, 200, id="k10_202_pow_10_overflows"),
+    pytest.param([12] * 20, 30, 5000, id="k12_5002_pow_12_reranks_twice"),
+    # the pad len(grid) + 1 is 255, the largest uint8, then 256, a uint16
+    pytest.param([4, 6, 5] * 10, 25, 254, id="uint8_pad_254"),
+    pytest.param([4, 6, 5] * 10, 25, 255, id="uint16_pad_255"),
 ])
-def test_pattern_integral_matches_the_loop(monkeypatch, counts, n_support, grid_points,
-                                           reranks):
-    # ([3] * 320, 320) gathers its indices in two chunks of classes and
+def test_pattern_integral_matches_the_loop(counts, n_support, grid_points):
+    # ([3] * 320, 320) computes its step indices in two row chunks and
     # integrates its patterns in several chunks.
     mins, labels, grid, r_max = _grid_case(counts, n_support, grid_points, seed=len(counts))
     assert (mins > r_max).any() and np.isin(mins, grid).any()
-    calls = []
-    unique = np.unique
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("return_inverse", False))
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", spy)
     got = _grid_integrals(mins, labels, grid) / r_max
-    monkeypatch.undo()
-    # one more call with return_inverse finds the distinct keys at the end
-    assert sum(calls) == reranks + 1
     assert np.array_equal(got, _loop_grid_values(mins, labels, grid, r_max))
 
 

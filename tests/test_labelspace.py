@@ -40,6 +40,11 @@ class TestLabelSpace:
         with pytest.raises(ValueError, match="superclass index 0 has no members"):
             LabelSpace(name="bad", table=[1, 1, 2])
 
+    def test_index_beyond_class_count_is_a_gap(self):
+        # the first gap, 2, lies below the largest index: no 2**50-long count
+        with pytest.raises(ValueError, match="superclass index 2 has no members"):
+            LabelSpace(name="bad", table=[1, 0, 2**50, 3])
+
     def test_sizes_and_mapping(self):
         s = LabelSpace(name="s", table=[0, 1, 0])
         assert s.table.dtype == np.int64
