@@ -76,6 +76,8 @@ def _parse_sizes(text: str) -> list[int]:
         raise _UsageError("--sizes entries must be positive")
     if max(sizes) >= 2**63:
         raise _UsageError(f"--sizes entry {max(sizes)} does not fit in int64")
+    if sum(sizes) >= 2**63:
+        raise _UsageError(f"--sizes total {sum(sizes)} does not fit in int64")
     return sizes
 
 

@@ -14,7 +14,8 @@ from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .manifold import FeatureSet, nearest_refs
+from .kernels import nearest_refs
+from .manifold import FeatureSet
 
 if TYPE_CHECKING:
     from .labelspace import LabelSpace

@@ -19,6 +19,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from .kernels import _block_rows
+
 __all__ = [
     "DistanceMatrix",
     "Hierarchy",
@@ -253,7 +255,7 @@ def graph_distance_matrix(h: Hierarchy, classes: Iterable[int] | None = None) ->
     adj = csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(len(index),) * 2)
     nodes = np.array([index[h.class_index[cc]] for cc in labels], dtype=np.intp)
     values = np.empty((len(labels), len(labels)))
-    chunk = max(1, 2**22 // len(index))  # rows of each dense (chunk, all nodes) hop block
+    chunk = _block_rows(len(index))  # rows of each dense (chunk, all nodes) hop block
     for lo in range(0, len(labels), chunk):
         hops = shortest_path(adj, directed=False, unweighted=True, indices=nodes[lo:lo + chunk])
         np.take(hops, nodes, axis=1, out=values[lo:lo + chunk], mode="clip")

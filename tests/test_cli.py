@@ -259,6 +259,15 @@ class TestOracle:
         assert err == ("usage error: --sizes entry 100000000000000000000000 "
                        "does not fit in int64\n")
 
+    def test_sizes_total_beyond_int64_is_usage_error(self, tmp_path, capsys):
+        # each entry fits in int64, their sum does not
+        assert run(["oracle", "superclass-acc", "--p", "0.5",
+                    "--sizes", "4611686018427387904,4611686018427387904",
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("usage error: --sizes total 9223372036854775808 "
+                       "does not fit in int64\n")
+
     def test_default_seed_reproducible(self, tmp_path):
         outs = []
         for name in ("o1", "o2"):

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import hierkit.kernels as kernels
 import hierkit.manifold as manifold
 from hierkit.collapse import ClassStats, nearest_mean_labels
-from hierkit.manifold import (CoverConfig, FeatureSet, _block_rows, _grid_integrals,
-                              _screen_slack, cover_similarity, min_sq_distances, nearest_refs)
+from hierkit.kernels import _block_rows, _screen_slack, min_sq_distances, nearest_refs
+from hierkit.manifold import CoverConfig, FeatureSet, _grid_integrals, cover_similarity
 
 
 def _etf_case():
@@ -62,8 +63,8 @@ def _cdist_rows(monkeypatch, workers, x, refs, starts):
         calls.append(len(xa))
         return cdist(xa, *args, **kwargs)
 
-    monkeypatch.setattr(manifold, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(manifold, "cdist", recording)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(kernels, "cdist", recording)
     min_sq_distances(x, refs, starts)
     return calls
 
@@ -127,7 +128,7 @@ def test_cover_minima_and_values_match_cdist(case):
 def test_pooled_minima_match_serial_cdist(monkeypatch, case, workers):
     # The small cases make one block, so 2 and 3 workers exceed the blocks.
     x, refs = CASES[case]()
-    monkeypatch.setattr(manifold, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
     d = cdist(x, refs, "sqeuclidean")
     assert np.array_equal(min_sq_distances(x, refs, np.arange(len(refs))), d)
     starts = np.unique(np.r_[0, np.random.default_rng(9).integers(1, len(refs), 5)])
@@ -181,6 +182,43 @@ def test_pattern_integral_matches_the_loop(counts, n_support, grid_points):
     assert (mins > r_max).any() and np.isin(mins, grid).any()
     got = _grid_integrals(mins, labels, grid) / r_max
     assert np.array_equal(got, _loop_grid_values(mins, labels, grid, r_max))
+
+
+def _step_sequences(mins, labels, grid, sort):
+    """The distinct step-index sequences, one per (class, column) pair."""
+    steps = np.searchsorted(grid, mins, side="right")
+    return {tuple(np.sort(s) if sort else s) for c in np.unique(labels)
+            for s in steps[labels == c].T}
+
+
+def _reordered_pairs_case():
+    # Class 0 in column 0 and class 1 in column 1 hold the same step indices in
+    # different row orders, as do class 0 in column 1 and class 1 in column 0.
+    labels = np.array([0, 1, 0, 1, 0, 1])
+    mins = np.array([[0.1, 0.3], [0.6, 0.3], [0.6, 0.3], [0.3, 0.1], [0.3, 0.6], [0.3, 0.6]])
+    return mins, labels, np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_reordered_pairs_case, id="reordered_pairs"),
+    pytest.param(lambda: _grid_case([3] * 40, 60, 7, seed=40)[:3], id="40-3-60-7"),
+])
+def test_each_sorted_pattern_is_integrated_once(monkeypatch, case):
+    # Unsorted sequences would only split a pattern into groups with the same
+    # integral, so the count of integrated patterns is what shows the sort.
+    mins, labels, grid = case()
+    patterns = _step_sequences(mins, labels, grid, sort=True)
+    assert len(_step_sequences(mins, labels, grid, sort=False)) > len(patterns)
+    rows = []
+    trapezoid = np.trapezoid
+
+    def spy(y, *args, **kwargs):
+        rows.append(len(y))
+        return trapezoid(y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "trapezoid", spy)
+    _grid_integrals(mins, labels, grid)
+    assert sum(rows) == len(patterns)
 
 
 def _cover_inputs(counts, p=6, seed=10):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hierkit.hierarchy as hierarchy
 from hierkit.hierarchy import (DistanceMatrix, graph_distance_matrix, hypernym_of,
                                parse_hierarchy)
 
@@ -201,21 +202,37 @@ def _random_taxonomy(rng, dag):
     return parse_hierarchy(edges, classes)
 
 
+def _check_random_taxonomies(dag):
+    """graph_distance_matrix against Floyd-Warshall on 25 random taxonomies, for
+    all classes and for a permuted subset; returns the largest class count."""
+    rng = np.random.default_rng(11 + dag)
+    largest = 0
+    for _ in range(25):
+        h = _random_taxonomy(rng, dag)
+        fw, idx = _floyd_warshall_hops(h)
+        subset = [int(c) for c in rng.permutation(h.class_count)]
+        subset = subset[:max(1, len(subset) - int(rng.integers(0, 3)))]
+        for classes in (None, subset):
+            labels = list(range(h.class_count)) if classes is None else classes
+            nodes = [idx[h.class_index[c]] for c in labels]
+            d = graph_distance_matrix(h, classes=classes)
+            assert d.labels == labels
+            assert np.array_equal(d.values, fw[np.ix_(nodes, nodes)])
+        largest = max(largest, h.class_count)
+    return largest
+
+
 class TestGraphDistancesReference:
     @pytest.mark.parametrize("dag", [False, True])
     def test_matches_floyd_warshall(self, dag):
-        rng = np.random.default_rng(11 + dag)
-        for _ in range(25):
-            h = _random_taxonomy(rng, dag)
-            fw, idx = _floyd_warshall_hops(h)
-            subset = [int(c) for c in rng.permutation(h.class_count)]
-            subset = subset[:max(1, len(subset) - int(rng.integers(0, 3)))]
-            for classes in (None, subset):
-                labels = list(range(h.class_count)) if classes is None else classes
-                nodes = [idx[h.class_index[c]] for c in labels]
-                d = graph_distance_matrix(h, classes=classes)
-                assert d.labels == labels
-                assert np.array_equal(d.values, fw[np.ix_(nodes, nodes)])
+        _check_random_taxonomies(dag)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("dag", [False, True])
+    def test_matches_floyd_warshall_in_row_chunks(self, monkeypatch, dag, rows):
+        # Test taxonomies have under 100 nodes, so the real block rule gives one chunk.
+        monkeypatch.setattr(hierarchy, "_block_rows", lambda n_refs: rows)
+        assert _check_random_taxonomies(dag) > 2 * rows
 
     def test_diamond_with_duplicate_edges(self):
         h = parse_hierarchy(["r\ta", "r\tb", "a\tm", "b\tm", "m\tx", "a\ty", "a\tm"],
