@@ -192,7 +192,8 @@ def _read_features_csv(path, head: bytes) -> FeatureSet:
             rows.append(cells)
     if not rows:
         raise ValueError(f"{path}: CSV contains no data rows")
-    vectors = np.vstack(rows).astype(np.float32)
+    with np.errstate(over="ignore"):  # beyond float32 is inf, refused next
+        vectors = np.vstack(rows).astype(np.float32)
     if not np.isfinite(vectors).all():
         raise ValueError(f"{path}: feature vectors contain non-finite values")
     lab = np.array(labels, dtype=np.int64)

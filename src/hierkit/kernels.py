@@ -1,6 +1,12 @@
 """Exact nearest-distance kernels in feature space, and the one row-block rule.
 
-``min_sq_distances`` gives the mutual-cover minima, ``nearest_refs`` the NCC readout.
+``min_sq_distances`` gives the mutual-cover minima and ``nearest_refs`` the NCC
+readout.  ``GroupScreen`` gives what the grid cover needs of the minima, their
+grid step indices and the largest one, without computing them all.  Both
+``nearest_refs`` and ``GroupScreen`` screen with one float64 GEMM per row block
+(``_screen_block``) and a proven bound on its error (``_screen_slack``), and fall
+back to ``cdist`` wherever the bound cannot decide: the r_max candidate rows, and
+the (row, group) pairs with a grid point inside their bounds.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.spatial.distance import cdist
 
-__all__ = ["min_sq_distances", "nearest_refs"]
+__all__ = ["GroupScreen", "min_sq_distances", "nearest_refs"]
 
 
 def _usable_cpus() -> int:
@@ -72,10 +78,110 @@ def _screen_slack(xx: np.ndarray, rr_max: float, p: int) -> np.ndarray:
     rounding of E and of the threshold min(s) + 2E, while p*p*u < 2**-6
     (p < 10**7).  Gradual underflow adds at most 2**-1075 per product, 4p
     products in all, which p * 2**-1070 covers.  Valid while 4 (xx + rr_max) is
-    finite, so that neither s nor c can overflow.
+    finite, so that neither s nor c can overflow; E is inf on the other rows.
     """
     g = (p + 4) * 2.0**-53 / (1 - (p + 4) * 2.0**-53)
-    return 4 * g * (xx + rr_max) + p * 2.0**-1070
+    with np.errstate(over="ignore"):
+        return np.where(np.isfinite(4 * (xx + rr_max)), 4 * g * (xx + rr_max) + p * 2.0**-1070,
+                        np.inf)
+
+
+def _screen_block(xb: np.ndarray, refs: np.ndarray,
+                  rr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The screen of one float64 row block against float64 ``refs`` whose squared
+    norms are ``rr``: s = (|x|^2 - 2 x.r) + |r|^2 from one GEMM, and each row's
+    bound E (:func:`_screen_slack`) on |s - cdist|.  Callers silence overflow."""
+    xx = np.einsum("ij,ij->i", xb, xb)
+    s = xb @ refs.T
+    s *= -2.0
+    s += xx[:, None]
+    s += rr
+    return s, _screen_slack(xx, rr.max(), xb.shape[1])
+
+
+class GroupScreen:
+    """The cover minima of :func:`min_sq_distances`, screened: for each row x[i]
+    and non-empty group g = refs[starts[g]:starts[g + 1]], what the grid cover
+    needs of the exact minimum c[i, g] without computing it.
+
+    One GEMM per row block of :func:`_block_rows` rows (:func:`_screen_block`)
+    and ``np.minimum.reduceat`` over the groups give the screened minima
+    ``minima[i, g]`` and each row's bound ``slack[i]`` = E.  Every screened value
+    of a row is within E of its ``cdist`` value, so |minima - c| <= E as well,
+    and c lies in [s - E, s + E].  Rounding to nearest is monotone, so the
+    computed ends still enclose c; each is moved one float further out with
+    ``np.nextafter``, a margin beyond the proof, and the low end is clipped at 0.
+    E is inf on rows that the bound does not cover, so nothing settles there.
+    """
+
+    def __init__(self, x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> None:
+        self.x, self.starts = x, starts
+        self.refs = refs.astype(np.float64, copy=False)
+        rr = np.einsum("ij,ij->i", self.refs, self.refs)
+        self.minima = np.empty((len(x), len(starts)))
+        self.slack = np.empty(len(x))
+        rows = _block_rows(len(refs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(x), rows):
+                s, self.slack[lo:lo + rows] = _screen_block(
+                    x[lo:lo + rows].astype(np.float64, copy=False), self.refs, rr)
+                np.minimum.reduceat(s, starts, axis=1, out=self.minima[lo:lo + rows])
+                del s  # so that no two blocks are held at once
+
+    def largest_minimum(self) -> float:
+        """max(min_sq_distances(x, refs, starts)), bit for bit.
+
+        Only the candidate rows run through ``min_sq_distances``: the rows whose
+        largest s + E reaches the largest s - E of any row, which the row holding
+        the maximum always does, and the rows without a bound.
+        """
+        s, e = self.minima.max(axis=1), self.slack
+        bounded = np.isfinite(e)
+        with np.errstate(over="ignore", invalid="ignore"):
+            floor = np.nextafter(s[bounded] - e[bounded], -np.inf).max(initial=-np.inf)
+            rows = np.flatnonzero(~bounded | (np.nextafter(s + e, np.inf) >= floor))
+        return float(min_sq_distances(self.x[rows], self.refs, self.starts).max())
+
+    def step_indices(self, grid: np.ndarray, out: np.ndarray) -> None:
+        """out[i, g] = searchsorted(grid, sqrt(c[i, g]), side="right"), bit for bit,
+        for the exact minima c = min_sq_distances(x, refs, starts) and a sorted
+        ``grid`` with grid[-1] > 0.
+
+        Correctly rounded ``sqrt`` is monotone, so c in [low, high] puts sqrt(c) in
+        [sqrt(low), sqrt(high)].  A pair is settled, with index j + 1, when
+        grid[j] <= sqrt(low) and sqrt(high) < grid[j + 1] (or j is the last grid
+        point).  j is guessed as if the grid were ``linspace(0, grid[-1],
+        len(grid))``, as the cover's is; a wrong guess, a grid point inside the
+        interval, and a row without a bound (high is inf or nan) leave the pair
+        unsettled.  Those pairs get the index of their ``cdist`` minimum: per row
+        block, one ``cdist`` of the rows holding such pairs against the groups
+        holding them.  A ``cdist`` value does not depend on the rest of the call, so
+        each of these minima is bit for bit the one ``min_sq_distances`` computes.
+        Works per row block of :func:`_block_rows` rows, as the screen does.
+        """
+        ends = np.append(self.starts[1:], len(self.refs))
+        upper = np.append(grid[1:], np.inf)
+        with np.errstate(over="ignore"):
+            scale = (len(grid) - 1) / grid[-1]
+        rows = _block_rows(len(self.refs))
+        for lo in range(0, len(self.x), rows):
+            s, e = self.minima[lo:lo + rows], self.slack[lo:lo + rows, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                high = np.sqrt(np.nextafter(s + e, np.inf))
+                low = np.sqrt(np.maximum(np.nextafter(s - e, -np.inf), 0.0))
+                j = np.fmin(high * scale, len(grid) - 1).astype(np.intp)
+            out[lo:lo + rows] = j + 1
+            r, g = np.nonzero(~((grid[j] <= low) & (high < upper[j])))
+            if r.size == 0:
+                continue
+            us, r = np.unique(r, return_inverse=True)
+            gs, g = np.unique(g, return_inverse=True)
+            sizes = ends[gs] - self.starts[gs]
+            offsets = np.cumsum(sizes) - sizes
+            cols = np.arange(sizes.sum()) + np.repeat(self.starts[gs] - offsets, sizes)
+            xb = self.x[lo + us].astype(np.float64, copy=False)
+            exact = np.minimum.reduceat(cdist(xb, self.refs[cols], "sqeuclidean"), offsets, axis=1)
+            out[lo + us[r], gs[g]] = np.searchsorted(grid, np.sqrt(exact[r, g]), side="right")
 
 
 def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -93,23 +199,17 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     refs = refs.astype(np.float64, copy=False)
     if refs.shape[0] == 0:
         raise ValueError("nearest_refs needs at least one reference point")
-    n, p = x.shape
     rr = np.einsum("ij,ij->i", refs, refs)
-    rr_max = rr.max()
-    labels = np.empty(n, dtype=np.intp)
+    labels = np.empty(len(x), dtype=np.intp)
     rows = _block_rows(refs.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, rows):
+        for lo in range(0, len(x), rows):
             xb = x[lo:lo + rows].astype(np.float64, copy=False)
-            xx = np.einsum("ij,ij->i", xb, xb)
-            s = xb @ refs.T
-            s *= -2.0
-            s += xx[:, None]
-            s += rr
+            s, slack = _screen_block(xb, refs, rr)
             best = np.argmin(s, axis=1)
-            limit = s[np.arange(len(s)), best] + 2 * _screen_slack(xx, rr_max, p)
+            limit = s[np.arange(len(s)), best] + 2 * slack
             cand = s <= limit[:, None]
-            unbounded = ~np.isfinite(4 * (xx + rr_max))
+            unbounded = np.isinf(slack)
             cand[unbounded] = True
             refine = np.flatnonzero(unbounded | (np.count_nonzero(cand, axis=1) > 1))
             if refine.size:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .hierarchy import DistanceMatrix
-from .kernels import min_sq_distances
+from .kernels import GroupScreen, min_sq_distances
 from .rng import substream
 
 __all__ = [
@@ -89,10 +89,14 @@ class CoverConfig:
             raise ValueError("k must be >= 1")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
+        if self.grid_points > np.iinfo(np.int64).max:
+            raise ValueError(f"grid_points {self.grid_points} does not fit in int64")
         if self.r_max is not None:
             self.r_max = float(self.r_max)
             if not self.r_max > 0:
                 raise ValueError(f"r_max must be > 0, got {self.r_max}")
+            if not np.isfinite(self.r_max):
+                raise ValueError(f"r_max must be finite, got {self.r_max}")
         if self.method not in ("grid", "exact"):
             raise ValueError(f"method must be 'grid' or 'exact', got {self.method!r}")
 
@@ -152,11 +156,16 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
     [0, r_max] divided by r_max (trapezoid rule on cfg.grid_points radii, or
     the exact step-function integral when cfg.method == "exact").
 
-    The grid method has one path for any class sizes, k and grid:
-    :func:`_grid_integrals` groups the (class, support class) pairs by their
-    sorted step indices with one lexsort, runs the trapezoid once per group and
-    gives the bits of the per-class loop over boolean means.  The reduction
-    order (query order, then grid order) is fixed, so results are
+    The exact method takes the minima from ``min_sq_distances``.  The grid method
+    needs only each minimum's grid step index and, when cfg.r_max is None, the
+    largest minimum.  A :class:`~hierkit.kernels.GroupScreen` gives both, bit for
+    bit, from one GEMM per row block, with an exact ``cdist`` only on the r_max
+    candidate rows and on the pairs that its bounds leave unsettled.  It writes
+    the indices straight into the padded index array of :func:`_grid_integrals`,
+    which groups the (class, support class) pairs by their sorted step indices
+    with one lexsort, runs the trapezoid once per group and gives the bits of the
+    per-class loop over boolean means, for any class sizes, k and grid.  The
+    reduction order (query order, then grid order) is fixed, so results are
     bit-reproducible.
     """
     classes = query.present_classes()
@@ -164,54 +173,65 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
         raise ValueError("query and support label sets differ")
     order = np.argsort(support.labels, kind="stable")
     starts = np.searchsorted(support.labels[order], classes)
-    mins = min_sq_distances(query.vectors, support.vectors[order], starts)
-    np.sqrt(mins, out=mins)
-    r_max = cfg.r_max if cfg.r_max is not None else float(mins.max())
+    refs = support.vectors[order]
+    if cfg.method == "exact":
+        mins = min_sq_distances(query.vectors, refs, starts)
+        np.sqrt(mins, out=mins)
+    else:
+        screen = GroupScreen(query.vectors, refs, starts)
+    r_max = cfg.r_max
+    if r_max is None:
+        r_max = float(mins.max() if cfg.method == "exact"
+                      else np.sqrt(screen.largest_minimum()))
     if not r_max > 0:
         raise ValueError(f"r_max must be > 0, got {r_max}")
 
     if cfg.method == "exact":
-        # integral of 1{d < r} over [0, r_max] is max(0, r_max - d)
-        contrib = np.clip(1.0 - mins / r_max, 0.0, 1.0)
+        # integral of 1{d < r} over [0, r_max] is max(0, r_max - d); below a
+        # subnormal r_max, d / r_max overflows to inf and clips to 0 as it should
+        with np.errstate(over="ignore"):
+            contrib = np.clip(1.0 - mins / r_max, 0.0, 1.0)
         values = np.empty((classes.size, classes.size))
         for i, c in enumerate(classes):
             rows = query.labels == c
             values[i] = contrib[rows].mean(axis=0)
     else:
         grid = np.linspace(0.0, r_max, cfg.grid_points)
-        values = _grid_integrals(mins, query.labels, grid) / r_max
+        # one pad row, which the class table of _grid_integrals picks with -1
+        pad = grid.size + 1
+        steps = np.full((len(query) + 1, classes.size), pad, dtype=np.min_scalar_type(pad))
+        screen.step_indices(grid, out=steps[:-1])
+        del screen  # the screened minima, n x C float64, before the integral
+        values = _grid_integrals(steps, query.labels, grid) / r_max
     return SimilarityMatrix(labels=list(classes), values=values, r_max=r_max)
 
 
-def _grid_integrals(mins: np.ndarray, labels: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _grid_integrals(steps: np.ndarray, labels: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """The (C, n) trapezoid integrals of P_r over ``grid``, one row per class of
-    ``labels`` in sorted order and one column per column (support class) of ``mins``.
+    ``labels`` in sorted order and one column per support class.
 
-    P_r at grid[g] is the share of a class's distances d with d < grid[g], that is
-    with searchsorted(grid, d, side="right") <= g.  So a (class, column) pair's
-    curve is fixed by its sorted step indices, padded to the size of the largest
-    class with len(grid) + 1: no g reaches a pad, and the entries that are not pads
-    count the class.  One lexsort brings equal patterns together, and a pattern
-    starts wherever any of its indices differs from the pair before.  The integral
-    runs once per distinct pattern: the same per-row trapezoid of count / size as
-    the per-class loop's boolean mean, so every bit matches.  Step indices are
-    computed, and patterns integrated, in chunks of about 2**18 entries.
+    ``steps[i, j]`` is searchsorted(grid, d, side="right") of the distance d from
+    query point i to support class j, and its last row holds the pad len(grid) + 1,
+    in an unsigned dtype that holds the pad.  P_r at grid[g] is the share of a
+    class's distances d with d < grid[g], that is with step index <= g.  So a
+    (class, column) pair's curve is fixed by its sorted step indices, padded to the
+    size of the largest class: no g reaches a pad, and the entries that are not
+    pads count the class.  One lexsort brings equal patterns together, and a
+    pattern starts wherever any of its indices differs from the pair before.  The
+    integral runs once per distinct pattern, in chunks of about 2**18 entries: the
+    same per-row trapezoid of count / size as the per-class loop's boolean mean,
+    so every bit matches.
     """
     _, sizes = np.unique(labels, return_counts=True)
-    n_classes, n = sizes.size, mins.shape[1]
+    n_classes, n = sizes.size, steps.shape[1]
     # table[c, r]: the row of the r-th query point of class c; -1 picks the pad row
     table = np.full((n_classes, int(sizes.max())), -1)
     rows = np.argsort(labels, kind="stable")
     cls = np.repeat(np.arange(n_classes), sizes)
     table[cls, np.arange(rows.size) - (np.cumsum(sizes) - sizes)[cls]] = rows
     pad = grid.size + 1
-    idx = np.full((len(mins) + 1, n), pad, dtype=np.min_scalar_type(pad))
-    chunk = max(1, 2**18 // n)
-    for lo in range(0, len(mins), chunk):
-        hi = min(lo + chunk, len(mins))
-        idx[lo:hi] = np.searchsorted(grid, mins[lo:hi], side="right")
     # steps[:, c * n + j]: the step indices of class c in column j, sorted
-    steps = idx[table].transpose(1, 0, 2).reshape(table.shape[1], -1)
+    steps = steps[table].transpose(1, 0, 2).reshape(table.shape[1], -1)
     steps.sort(axis=0)
     order = np.lexsort(steps)
     steps = steps.take(order, axis=1)

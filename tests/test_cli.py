@@ -2,18 +2,28 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hierkit
 from hierkit.cli import run
 from hierkit.collapse import ClassifierHead
-from hierkit.io import read_features, read_predictions, write_head, write_table
+from hierkit.io import read_features, read_predictions, write_features, write_head, write_table
 from hierkit.labelspace import read_labelspace
-from hierkit.manifold import SimilarityMatrix
+from hierkit.manifold import FeatureSet, SimilarityMatrix
 from hierkit.metrics import accuracy_series
+
+
+EDGES = ("root\tanimal\nroot\tplant\n"
+         "animal\tdog\nanimal\tcat\nanimal\twolf\n"
+         "plant\ttree\nplant\tfern\nplant\tmoss\n")
+CLASSES = "0\tdog\n1\tcat\n2\twolf\n3\ttree\n4\tfern\n5\tmoss\n"
 
 
 @pytest.fixture
@@ -21,10 +31,8 @@ def tax(tmp_path):
     edges = tmp_path / "edges.tsv"
     classes = tmp_path / "classes.tsv"
     groups = tmp_path / "groups.tsv"
-    edges.write_text("root\tanimal\nroot\tplant\n"
-                     "animal\tdog\nanimal\tcat\nanimal\twolf\n"
-                     "plant\ttree\nplant\tfern\nplant\tmoss\n")
-    classes.write_text("0\tdog\n1\tcat\n2\twolf\n3\ttree\n4\tfern\n5\tmoss\n")
+    edges.write_text(EDGES)
+    classes.write_text(CLASSES)
     groups.write_text("fauna\tanimal\nflora\tplant\n")
     return edges, classes, groups
 
@@ -611,6 +619,16 @@ class TestMalformedInputsExitOne:
         self._fails(["manifold", "cover", "--features", str(feats), "--k", "1",
                      "--seed", "0"], tmp_path, capsys, f"{feats}:3: label {self.BIG}")
 
+    def test_features_value_beyond_float32(self, tmp_path, capsys):
+        # 1e40 becomes inf in float32; the cast used to warn on stderr first
+        feats = tmp_path / "f.csv"
+        feats.write_text("label,f0\n0,1.0\n0,1e40\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._fails(["manifold", "cover", "--features", str(feats), "--k", "1",
+                         "--seed", "0"], tmp_path, capsys,
+                        f"{feats}: feature vectors contain non-finite values")
+
     def test_zero_row_features_header(self, tmp_path, capsys):
         feats = tmp_path / "f.bin"
         feats.write_bytes(b"HBFEAT01" + np.array([0, 2**62, 1], dtype="<u8").tobytes())
@@ -665,6 +683,14 @@ class TestMalformedInputsExitOne:
         assert not (tmp_path / "out" / "cover.csv").exists()
 
 
+def _child_env():
+    """The environment of a child ``python -m hierkit.cli`` that imports this checkout."""
+    src = str(Path(hierkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize("action", ["curves", "converge"])
 def test_huge_label_without_labelspace_exits_one(tmp_path, action):
     # The hyponym space of this log has 10**17 + 1 classes.  It runs in a child
@@ -673,16 +699,89 @@ def test_huge_label_without_labelspace_exits_one(tmp_path, action):
     resource = pytest.importorskip("resource")
     log = tmp_path / "p.csv"
     log.write_text(f"epoch,example_id,true_label,pred_label\n1,a,0,0\n1,b,0,{10**17}\n")
-    src = str(Path(hierkit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run([sys.executable, "-m", "hierkit.cli", "metrics", action,
                            "--log", str(log), "--out", str(tmp_path / "out")],
-                          env=env, preexec_fn=limit_memory, capture_output=True, text=True,
-                          timeout=120)
+                          env=_child_env(), preexec_fn=limit_memory, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("action", ["cover", "ccc"])
+def test_infinite_r_max_is_refused(tax, featdir, tmp_path, action):
+    # Run in a child, so that a numpy warning would reach stderr as it does
+    # from the shell: inf used to be taken, warn, and fail on a NaN matrix.
+    edges, classes, _ = tax
+    argv = [sys.executable, "-m", "hierkit.cli", "manifold", action, "--features",
+            str(featdir / "features_e002.bin"), "--k", "2", "--seed", "0", "--r-max", "inf",
+            "--out", str(tmp_path / "out")]
+    if action == "ccc":
+        argv += ["--hierarchy", str(edges), "--classes", str(classes)]
+    proc = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: r_max must be finite, got inf\n"
+
+
+# --------------------------------------- manifold cover and ccc: exit codes
+
+@pytest.fixture(scope="module")
+def cover_files(tmp_path_factory):
+    """The taxonomy above and 6 classes x 6 rows of p=4 features, in both formats."""
+    base = tmp_path_factory.mktemp("cover_property")
+    (base / "edges.tsv").write_text(EDGES)
+    (base / "classes.tsv").write_text(CLASSES)
+    rng = np.random.default_rng(0)
+    f = FeatureSet(rng.standard_normal((36, 4)), np.arange(36) % 6, 6)
+    write_features(f, base / "features.bin")
+    write_features(f, base / "features.csv")
+    return base
+
+
+_COVER_NUMBERS = ["0", "-1", "1e-320", str(2**63), "1e20", "nan", "inf"]
+_COVER_COUNTS = ["1", "2", str(2**63), str(10**20)]
+_EDITS = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                            st.integers(0, 2**16), st.binary(min_size=1, max_size=1)),
+                  max_size=3)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(command=st.sampled_from(["cover", "ccc"]), fmt=st.sampled_from(["bin", "csv"]),
+       edits=_EDITS, k=st.sampled_from(_COVER_COUNTS),
+       r_max=st.none() | st.sampled_from(_COVER_NUMBERS),
+       grid_points=st.none() | st.sampled_from(_COVER_COUNTS),
+       method=st.sampled_from(["grid", "exact"]))
+def test_manifold_cover_and_ccc_exit_0_1_or_2(cover_files, command, fmt, edits, k, r_max,
+                                              grid_points, method):
+    # Every input here stays small: the features are at most a few bytes longer
+    # than 36 rows, a class label costs no memory of its own, and counts beyond
+    # int64 are refused before anything is allocated.  So the cases run
+    # in-process, with warnings recorded, since from the shell they reach stderr.
+    data = bytearray((cover_files / f"features.{fmt}").read_bytes())
+    for op, pos, byte in edits:
+        pos %= len(data) + 1
+        if op == "insert":
+            data[pos:pos] = byte
+        elif pos < len(data):
+            data[pos:pos + 1] = byte if op == "set" else b""
+    path = cover_files / f"mutated.{fmt}"
+    path.write_bytes(bytes(data))
+    argv = ["manifold", command, "--features", str(path), "--k", k, "--seed", "0",
+            "--method", method, "--out", str(cover_files / "out")]
+    if command == "ccc":
+        argv += ["--hierarchy", str(cover_files / "edges.tsv"),
+                 "--classes", str(cover_files / "classes.tsv")]
+    if r_max is not None:
+        argv.append(f"--r-max={r_max}")
+    if grid_points is not None:
+        argv += ["--grid-points", grid_points]
+    err = StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue() == "" or err.getvalue().startswith(("error:", "usage error:"))
+    assert [str(w.message) for w in caught] == []

@@ -3,7 +3,8 @@
 Both feature-space callers (mutual-cover minima and the nearest-class-centre
 readout) must match the reference bit for bit, including exact ties, which
 go to the lower index.  So must the cover's grid integral, computed once per
-step pattern, against the per-class loop that it replaced.
+step pattern, against the per-class loop that it replaced, and the screened
+step indices and r_max of the grid cover against those of the exact minima.
 """
 
 import numpy as np
@@ -13,8 +14,10 @@ from scipy.spatial.distance import cdist
 import hierkit.kernels as kernels
 import hierkit.manifold as manifold
 from hierkit.collapse import ClassStats, nearest_mean_labels
-from hierkit.kernels import _block_rows, _screen_slack, min_sq_distances, nearest_refs
-from hierkit.manifold import CoverConfig, FeatureSet, _grid_integrals, cover_similarity
+from hierkit.kernels import (GroupScreen, _block_rows, _screen_block, _screen_slack,
+                             min_sq_distances, nearest_refs)
+from hierkit.manifold import (CoverConfig, FeatureSet, _grid_integrals, cover_similarity,
+                              split_query_support)
 
 
 def _etf_case():
@@ -138,6 +141,14 @@ def test_pooled_minima_match_serial_cdist(monkeypatch, case, workers):
 
 # --------------------------------------------- cover grid integral per pattern
 
+def _padded_steps(mins, grid):
+    """The padded step-index array that _grid_integrals takes, from distances."""
+    pad = grid.size + 1
+    steps = np.full((len(mins) + 1, mins.shape[1]), pad, dtype=np.min_scalar_type(pad))
+    steps[:-1] = np.searchsorted(grid, mins, side="right")
+    return steps
+
+
 def _loop_grid_values(mins, labels, grid, r_max):
     """The per-class loop of the grid cover: the reference for the pattern kernel."""
     classes = np.unique(labels)
@@ -176,11 +187,10 @@ def _grid_case(counts, n_support, grid_points, seed):
     pytest.param([4, 6, 5] * 10, 25, 255, id="uint16_pad_255"),
 ])
 def test_pattern_integral_matches_the_loop(counts, n_support, grid_points):
-    # ([3] * 320, 320) computes its step indices in two row chunks and
-    # integrates its patterns in several chunks.
+    # ([3] * 320, 320) integrates its patterns in several chunks.
     mins, labels, grid, r_max = _grid_case(counts, n_support, grid_points, seed=len(counts))
     assert (mins > r_max).any() and np.isin(mins, grid).any()
-    got = _grid_integrals(mins, labels, grid) / r_max
+    got = _grid_integrals(_padded_steps(mins, grid), labels, grid) / r_max
     assert np.array_equal(got, _loop_grid_values(mins, labels, grid, r_max))
 
 
@@ -217,7 +227,7 @@ def test_each_sorted_pattern_is_integrated_once(monkeypatch, case):
         return trapezoid(y, *args, **kwargs)
 
     monkeypatch.setattr(np, "trapezoid", spy)
-    _grid_integrals(mins, labels, grid)
+    _grid_integrals(_padded_steps(mins, grid), labels, grid)
     assert sum(rows) == len(patterns)
 
 
@@ -256,6 +266,236 @@ def test_cover_similarity_grid_runs_the_one_kernel(monkeypatch, counts, grid_poi
         assert taken == [True]
         assert sim.r_max == used
         assert np.array_equal(sim.values, _loop_grid_values(mins, query.labels, grid, used))
+
+
+@pytest.mark.parametrize("grid_points", [200, 5000])
+def test_cover_similarity_at_median_r_max_matches_the_loop(monkeypatch, grid_points):
+    # Clustered features, k=5, in row blocks of 16: a median r_max cuts through
+    # the minima, so the step indices vary, unlike at a ceiling above them all.
+    rng = np.random.default_rng(12)
+    c, k, p = 40, 5, 24
+    labels = np.repeat(np.arange(c), 2 * k)
+    vectors = rng.standard_normal((c, p))[labels] * 3.0 + rng.standard_normal((len(labels), p))
+    query, support = split_query_support(FeatureSet(vectors, labels, c), CoverConfig(k=k))
+    mins = np.stack([cdist(query.vectors, support.vectors[support.labels == cc]).min(axis=1)
+                     for cc in range(c)], axis=1)
+    monkeypatch.setattr(kernels, "_block_rows", lambda n_refs: 16)
+    r_max = float(np.median(mins))
+    sim = cover_similarity(query, support, CoverConfig(k=k, r_max=r_max, grid_points=grid_points))
+    values = _loop_grid_values(mins, query.labels, np.linspace(0.0, r_max, grid_points), r_max)
+    assert np.unique(values).size > 100
+    assert np.array_equal(sim.values, values)
+
+
+def test_grid_cover_runs_cdist_on_few_rows(monkeypatch):
+    # Only the r_max candidate rows go through min_sq_distances, and only without
+    # an r_max; the exact method still runs cdist on every query row.
+    query, support, mins = _cover_inputs([4] * 9)
+    calls = {"cdist": [], "min_sq_distances": []}
+
+    def spy(name, func):
+        def recording(xa, *args, **kwargs):
+            calls[name].append(len(xa))
+            return func(xa, *args, **kwargs)
+        monkeypatch.setattr(kernels, name, recording)
+
+    spy("cdist", cdist)
+    spy("min_sq_distances", min_sq_distances)
+    for r_max, method in ((None, "grid"), (float(np.median(mins)), "grid"), (None, "exact")):
+        for rows in calls.values():
+            rows.clear()
+        cover_similarity(query, support, CoverConfig(k=1, r_max=r_max, method=method))
+        if method == "exact":
+            assert sum(calls["cdist"]) == len(query)
+            continue
+        assert sum(calls["cdist"]) < len(query)
+        if r_max is None:
+            assert len(calls["min_sq_distances"]) == 1
+            assert 1 <= calls["min_sq_distances"][0] < len(query)
+        else:
+            assert calls["min_sq_distances"] == []
+
+
+# ---------------------------------------- cover screen: step indices and r_max
+
+def _groups(n_refs, n_groups, seed):
+    """Starts of n_groups non-empty groups of unequal sizes over n_refs refs."""
+    rng = np.random.default_rng(seed)
+    return np.r_[0, np.sort(rng.choice(np.arange(1, n_refs), n_groups - 1, replace=False))]
+
+
+def _lattice_screen_case():
+    # Integer features: every squared distance is an integer, so the grids of
+    # integers and of square roots of integers hold distances exactly.
+    rng = np.random.default_rng(20)
+    return (rng.integers(-3, 4, size=(70, 3)).astype(float),
+            rng.integers(-3, 4, size=(90, 3)).astype(float), _groups(90, 12, 20))
+
+
+def _max_row_case():
+    rng = np.random.default_rng(21)
+    x, refs = rng.standard_normal((40, 8)), rng.standard_normal((50, 8))
+    starts = _groups(50, 7, 21)
+    return x, x[np.argmax(min_sq_distances(x, refs, starts).max(axis=1))], refs, starts
+
+
+def _tied_max_case():
+    # The row holding the largest minimum appears four times.
+    x, top, refs, starts = _max_row_case()
+    return np.vstack([top, x, top, top]), refs, starts
+
+
+def _near_max_case():
+    # That row with one coordinate moved by multiples of 8 floats, in place of
+    # the row: one row holds the largest minimum, the others lie 1 to 6 floats
+    # below it, far closer than E.
+    x, top, refs, starts = _max_row_case()
+    near = np.repeat(top[None], 7, axis=0)
+    for i, row in enumerate(near):
+        for _ in range(8 * i):
+            row[6] = np.nextafter(row[6], np.inf)
+    keep = ~(x == top).all(axis=1)
+    return np.vstack([near[:3], x[keep], near[3:]]), refs, starts
+
+
+def _zero_distance_case():
+    # Half the query rows are support rows, so their minimum over one group is 0.
+    rng = np.random.default_rng(22)
+    refs = rng.standard_normal((60, 5))
+    return np.vstack([refs[::2], rng.standard_normal((30, 5))]), refs, _groups(60, 9, 22)
+
+
+def _near_overflow_case():
+    # |x| of 1e150 to 1e155: from 1e154 on, 4 (|x|^2 + max |r|^2) is not finite
+    # and the rows have no bound; at 1e155 the exact minima are inf.
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((40, 4))
+    x[::5] *= 1e150
+    x[1::5] *= 1e153
+    x[2::5] *= 1e154
+    x[3::5] *= 1e155
+    return x, rng.standard_normal((30, 4)), _groups(30, 6, 23)
+
+
+def _float32_screen_case():
+    # float32 features 100 from the origin, as the cover reads them from file.
+    rng = np.random.default_rng(24)
+    return ((rng.standard_normal((60, 16)) + 100).astype(np.float32),
+            (rng.standard_normal((80, 16)) + 100).astype(np.float32), _groups(80, 16, 24))
+
+
+SCREEN_CASES = {"lattice": _lattice_screen_case, "tied_max": _tied_max_case,
+                "near_max": _near_max_case,
+                "zero_distances": _zero_distance_case, "near_overflow": _near_overflow_case,
+                "float32": _float32_screen_case}
+
+
+def _exact_steps(x, refs, starts, grid):
+    mins = min_sq_distances(x, refs, starts)
+    return np.searchsorted(grid, np.sqrt(mins), side="right"), float(mins.max())
+
+
+def _screened_steps(x, refs, starts, grid):
+    screen = GroupScreen(x, refs, starts)
+    out = np.zeros((len(x), len(starts)), dtype=np.uint16)
+    screen.step_indices(grid, out)
+    return out, screen.largest_minimum()
+
+
+def _hard_grids(x, refs, starts):
+    """Grids through the minima, on them, near the screen, and subnormal."""
+    mins = min_sq_distances(x, refs, starts)
+    d = np.sqrt(mins[np.isfinite(mins)])
+    top, mid = float(d.max()), float(np.median(d))
+    screen = GroupScreen(x, refs, starts)
+    s, e = screen.minima, screen.slack[:, None]
+    with np.errstate(invalid="ignore"):
+        near = np.concatenate([s + t * e for t in (-1.0, -0.5, 0.0, 0.5, 1.0)], axis=None)
+    near = np.sqrt(near[np.isfinite(near) & (near >= 0)])
+    # grid[66] of the first near-linspace grid lies within E of a screened minimum
+    pick = np.sqrt(s[np.isfinite(s) & (s > 0)][::7])
+    grids = {
+        "default": np.linspace(0.0, top, 200),
+        "5000": np.linspace(0.0, top, 5000),
+        "median": np.linspace(0.0, mid, 200),
+        "on_distances": np.unique(np.r_[0.0, d]),
+        "near_screen": np.unique(np.r_[0.0, near]),
+        "subnormal_200": np.linspace(0.0, 1e-320, 200),
+        "subnormal_5000": np.linspace(0.0, 1e-320, 5000),
+    }
+    for i, r in enumerate(pick[:5]):
+        grids[f"near_linspace_{i}"] = np.linspace(0.0, r * 199 / 66, 200)
+    if np.array_equal(x, np.round(x)):
+        grids["integers"] = np.linspace(0.0, np.ceil(top), int(np.ceil(top)) + 1)
+        grids["sqrt_integers"] = np.sqrt(np.arange(int(mins.max()) + 1.0))
+    return grids
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+def test_screened_steps_and_r_max_match_the_exact_minima(monkeypatch, case, block_rows):
+    x, refs, starts = SCREEN_CASES[case]()
+    if block_rows is not None:
+        monkeypatch.setattr(kernels, "_block_rows", lambda n_refs: block_rows)
+    for name, grid in _hard_grids(x, refs, starts).items():
+        got, largest = _screened_steps(x, refs, starts, grid)
+        want, exact_largest = _exact_steps(x, refs, starts, grid)
+        assert np.array_equal(got, want), name
+        assert largest == exact_largest or np.isnan(largest) and np.isnan(exact_largest)
+
+
+def test_hard_grids_reach_the_exact_fallback(monkeypatch):
+    # The grids above put grid points inside screen intervals: the fallback runs.
+    rows = []
+
+    def recording(xa, *args, **kwargs):
+        rows.append(len(xa))
+        return cdist(xa, *args, **kwargs)
+
+    x, refs, starts = _zero_distance_case()
+    grids = _hard_grids(x, refs, starts)
+    monkeypatch.setattr(kernels, "cdist", recording)
+    for name in ("near_screen", "near_linspace_0", "on_distances"):
+        rows.clear()
+        _screened_steps(x, refs, starts, grids[name])
+        assert rows, name
+
+
+def _one_float_off(c, slack, sign):
+    # exactly cdist moved one float, with E = 0: only the widening covers it
+    return np.nextafter(c, sign * np.inf), np.zeros_like(slack)
+
+
+def _nine_tenths_of_e_off(c, slack, sign):
+    # 0.9 E plus at most half a float away, so still within E: the bound itself
+    with np.errstate(invalid="ignore"):
+        return c + sign * (0.9 * slack[:, None]), slack
+
+
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+@pytest.mark.parametrize("offset", [_one_float_off, _nine_tenths_of_e_off],
+                         ids=["one_float", "nine_tenths_of_E"])
+def test_a_screen_at_its_bound_still_gives_the_exact_steps(monkeypatch, case, offset):
+    # The GEMM screen errs by less than a third of E, so a screen that is
+    # cdist moved up or down by up to its bound stands in for the worst case.
+    # The grid holds every exact distance and its neighbours.
+    # Even rows read high and odd rows low; in the near_max case the row of the
+    # largest minimum reads low and the row one float below it reads high.
+    x, refs, starts = SCREEN_CASES[case]()
+
+    def moved(xb, refs, rr):
+        c = cdist(xb, refs, "sqeuclidean")
+        _, slack = _screen_block(xb, refs, rr)
+        return offset(c, slack, np.where(np.arange(len(xb)) % 2, -1.0, 1.0)[:, None])
+
+    mins = min_sq_distances(x, refs, starts)
+    d = mins[np.isfinite(mins)]
+    grid = np.unique(np.sqrt(np.r_[0.0, d, np.nextafter(d, np.inf), np.nextafter(d, 0.0)]))
+    want, exact_largest = _exact_steps(x, refs, starts, grid)
+    monkeypatch.setattr(kernels, "_screen_block", moved)
+    got, largest = _screened_steps(x, refs, starts, grid)
+    assert np.array_equal(got, want)
+    assert largest == exact_largest
 
 
 # ------------------------------------------------- nearest_refs: screen + refine

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,36 @@ def _pair(points_q, points_s, labels_q, labels_s, c):
     q = FeatureSet(np.asarray(points_q, dtype=float), np.asarray(labels_q), c)
     s = FeatureSet(np.asarray(points_s, dtype=float), np.asarray(labels_s), c)
     return q, s
+
+
+class TestCoverConfig:
+    @pytest.mark.parametrize("r_max, shown", [(0, "0.0"), (-1, "-1.0"), (float("nan"), "nan")])
+    def test_r_max_not_positive(self, r_max, shown):
+        with pytest.raises(ValueError) as e:
+            CoverConfig(k=1, r_max=r_max)
+        assert str(e.value) == f"r_max must be > 0, got {shown}"
+
+    def test_r_max_infinite(self):
+        with pytest.raises(ValueError) as e:
+            CoverConfig(k=1, r_max=float("inf"))
+        assert str(e.value) == "r_max must be finite, got inf"
+
+    @pytest.mark.parametrize("points", [2**63, 10**20])
+    def test_grid_points_beyond_int64(self, points):
+        # np.linspace raised IndexError at 2**63 points
+        with pytest.raises(ValueError) as e:
+            CoverConfig(k=1, grid_points=points)
+        assert str(e.value) == f"grid_points {points} does not fit in int64"
+
+    def test_subnormal_r_max_without_warning(self):
+        # distances 0 and 1: only the first lies within r_max = 1e-320
+        q, s = _pair([[0.0], [1.0]], [[0.0], [2.0]], [0, 0], [0, 0], 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exact = cover_similarity(q, s, CoverConfig(k=1, r_max=1e-320, method="exact"))
+            grid = cover_similarity(q, s, CoverConfig(k=1, r_max=1e-320))
+        assert exact.values[0, 0] == 0.5
+        assert 0.0 < grid.values[0, 0] <= 0.5
 
 
 class TestSplit:
