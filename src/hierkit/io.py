@@ -71,6 +71,15 @@ def _write_binary(path, magic: bytes, header, *arrays: np.ndarray) -> None:
             fh.write(a.tobytes())
 
 
+def _float32(a: np.ndarray, what: str) -> np.ndarray:
+    """``a`` as little-endian float32, refusing a value that would become inf."""
+    with np.errstate(over="ignore"):
+        out = a.astype("<f4")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} {float(a[~np.isfinite(out)][0])} does not fit in float32")
+    return out
+
+
 def _read_exact(fh, count: int, what: str, path) -> bytes:
     # a header may claim more than memory holds: ask only for what the file has
     left = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -143,15 +152,21 @@ def _labelled_cells(fields: list[str], path, lineno: int) -> tuple[int, np.ndarr
 # ---------------------------------------------------------------- features
 
 def write_features(f: FeatureSet, path) -> None:
-    """Write a FeatureSet as CSV (`label,f0,...`) or binary (HBFEAT01)."""
+    """Write a FeatureSet as CSV (`label,f0,...`) or binary (HBFEAT01), or refuse it
+    before the file is opened if :func:`read_features` would not read it back."""
     if len(f) == 0:
         raise ValueError("cannot write a feature set with no vectors")
+    vectors = _float32(f.vectors, "feature value")
     if str(path).endswith(".csv"):
         header = "label," + ",".join(f"f{i}" for i in range(f.dimension))
-        _write_labelled_rows(path, header, f.labels, f.vectors.astype(np.float32), _fmt9)
-    else:
-        _write_binary(path, FEATURES_MAGIC, [*f.vectors.shape, f.class_count],
-                      f.labels.astype("<u4"), f.vectors.astype("<f4"))
+        _write_labelled_rows(path, header, f.labels, vectors, _fmt9)
+        return
+    if f.labels.max() >= 2**32:
+        raise ValueError(f"label {f.labels.max()} does not fit in uint32")
+    if f.class_count >= 2**64:
+        raise ValueError(f"class count {f.class_count} does not fit in uint64")
+    _write_binary(path, FEATURES_MAGIC, [*f.vectors.shape, f.class_count],
+                  f.labels.astype("<u4"), vectors)
 
 
 def read_features(path) -> FeatureSet:
@@ -266,8 +281,8 @@ def read_distance_matrix(path) -> DistanceMatrix:
 def write_head(head: ClassifierHead, path) -> None:
     if head.class_count == 0:
         raise ValueError("cannot write a head with no classes")
-    _write_binary(path, HEAD_MAGIC, head.weights.shape,
-                  head.weights.astype("<f4"), head.bias.astype("<f4"))
+    _write_binary(path, HEAD_MAGIC, head.weights.shape, _float32(head.weights, "head value"),
+                  _float32(head.bias, "head value"))
 
 
 def read_head(path) -> ClassifierHead:

@@ -1,12 +1,11 @@
 """Exact nearest-distance kernels in feature space, and the one row-block rule.
 
-``min_sq_distances`` gives the mutual-cover minima and ``nearest_refs`` the NCC
-readout.  ``GroupScreen`` gives what the grid cover needs of the minima, their
-grid step indices and the largest one, without computing them all.  Both
-``nearest_refs`` and ``GroupScreen`` screen with one float64 GEMM per row block
-(``_screen_block``) and a proven bound on its error (``_screen_slack``), and fall
-back to ``cdist`` wherever the bound cannot decide: the r_max candidate rows, and
-the (row, group) pairs with a grid point inside their bounds.
+``_sq_minima``, ``cdist`` of some rows against every ref reduced over groups of
+refs, is the one exact-distance call; ``min_sq_distances`` runs it on every row.
+``GroupScreen`` (the grid cover's step indices and r_max) and ``nearest_refs``
+(the NCC readout) screen with one float64 GEMM per row block (``_screen_block``)
+under a proven error bound (``_screen_slack``).  Rows the bound settles take the
+screened answer; unsettled rows take their exact row from ``_sq_minima``.
 """
 
 from __future__ import annotations
@@ -27,29 +26,61 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _sq_minima(x: np.ndarray, refs: np.ndarray, starts: np.ndarray, out=None) -> np.ndarray:
     """The (n, G) float64 array whose [i, g] is the minimum squared Euclidean
     distance from x[i] to the non-empty group refs[starts[g]:starts[g + 1]] (the
-    last runs to the end).
+    last runs to the end) of float64 ``refs``."""
+    d = cdist(x.astype(np.float64, copy=False), refs, "sqeuclidean")
+    return np.minimum.reduceat(d, starts, axis=1, out=out)
+
+
+def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """:func:`_sq_minima` of every row of ``x``.
 
     Row blocks run on one thread per usable CPU, never more threads than blocks.
-    ``cdist`` releases the GIL and each of its values does not depend on the rest
+    ``cdist`` releases the GIL and each of its rows does not depend on the rest
     of the call, so the result is bit for bit the serial one.  The blocks in
     flight hold about 2**22 distances (32 MB) together.
     """
-    x, refs = x.astype(np.float64, copy=False), refs.astype(np.float64, copy=False)
+    refs = refs.astype(np.float64, copy=False)
     out = np.empty((x.shape[0], len(starts)))
     cpus = _usable_cpus()
     rows = max(1, _block_rows(refs.shape[0]) // cpus)
 
     def fill(lo: int) -> None:
-        np.minimum.reduceat(cdist(x[lo:lo + rows], refs, "sqeuclidean"), starts,
-                            axis=1, out=out[lo:lo + rows])
+        _sq_minima(x[lo:lo + rows], refs, starts, out=out[lo:lo + rows])
 
     blocks = range(0, x.shape[0], rows)
     with ThreadPoolExecutor(max_workers=max(1, min(cpus, len(blocks)))) as pool:
         list(pool.map(fill, blocks))
     return out
+
+
+def _class_sums(labels: np.ndarray, x: np.ndarray, c: int) -> np.ndarray:
+    """Per-class row sums, bit for bit ``np.add.at(np.zeros((c, p)), labels, x)``.
+
+    Pass r adds the r-th row, in index order, of every class that has one: one
+    pass per row of the largest class.  Each class thus sums its rows in index
+    order from +0.0, as ``np.add.at`` does, and no class appears twice in a
+    pass, so the fancy ``+=`` is safe.  ``np.add.reduce`` or ``reduceat`` would
+    not be exact: numpy sums pairwise there.  Rows are sorted stably by label
+    unless already non-decreasing; with equal class counts a pass is a slice.
+    """
+    counts = np.bincount(labels, minlength=c)
+    p = x.shape[1]
+    sums = np.zeros((c, p))
+    xs = x if (labels[1:] >= labels[:-1]).all() else x[np.argsort(labels, kind="stable")]
+    m = int(counts.max())
+    if (counts == m).all():
+        blocks = xs.reshape(c, m, p)
+        for r in range(m):
+            sums += blocks[:, r]
+        return sums
+    starts = np.cumsum(counts) - counts
+    for r in range(m):
+        cls = np.flatnonzero(counts > r)
+        sums[cls] += xs[starts[cls] + r]
+    return sums
 
 
 def _block_rows(n_refs: int) -> int:
@@ -153,13 +184,10 @@ class GroupScreen:
         point).  j is guessed as if the grid were ``linspace(0, grid[-1],
         len(grid))``, as the cover's is; a wrong guess, a grid point inside the
         interval, and a row without a bound (high is inf or nan) leave the pair
-        unsettled.  Those pairs get the index of their ``cdist`` minimum: per row
-        block, one ``cdist`` of the rows holding such pairs against the groups
-        holding them.  A ``cdist`` value does not depend on the rest of the call, so
-        each of these minima is bit for bit the one ``min_sq_distances`` computes.
-        Works per row block of :func:`_block_rows` rows, as the screen does.
+        unsettled.  Unsettled rows, those with any unsettled pair, take their
+        exact row: every index of the row comes from :func:`_sq_minima`.  Works
+        per row block of :func:`_block_rows` rows, as the screen does.
         """
-        ends = np.append(self.starts[1:], len(self.refs))
         upper = np.append(grid[1:], np.inf)
         with np.errstate(over="ignore"):
             scale = (len(grid) - 1) / grid[-1]
@@ -171,17 +199,10 @@ class GroupScreen:
                 low = np.sqrt(np.maximum(np.nextafter(s - e, -np.inf), 0.0))
                 j = np.fmin(high * scale, len(grid) - 1).astype(np.intp)
             out[lo:lo + rows] = j + 1
-            r, g = np.nonzero(~((grid[j] <= low) & (high < upper[j])))
-            if r.size == 0:
-                continue
-            us, r = np.unique(r, return_inverse=True)
-            gs, g = np.unique(g, return_inverse=True)
-            sizes = ends[gs] - self.starts[gs]
-            offsets = np.cumsum(sizes) - sizes
-            cols = np.arange(sizes.sum()) + np.repeat(self.starts[gs] - offsets, sizes)
-            xb = self.x[lo + us].astype(np.float64, copy=False)
-            exact = np.minimum.reduceat(cdist(xb, self.refs[cols], "sqeuclidean"), offsets, axis=1)
-            out[lo + us[r], gs[g]] = np.searchsorted(grid, np.sqrt(exact[r, g]), side="right")
+            unsettled = lo + np.flatnonzero(~((grid[j] <= low) & (high < upper[j])).all(axis=1))
+            if unsettled.size:
+                exact = _sq_minima(self.x[unsettled], self.refs, self.starts)
+                out[unsettled] = np.searchsorted(grid, np.sqrt(exact), side="right")
 
 
 def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
@@ -189,12 +210,12 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
 
     Bit for bit ``argmin(cdist(x, refs, "sqeuclidean"), axis=1)``: ties go to the
     lower index.  Works in float64, in row blocks of about 2**22 distances
-    (:func:`_block_rows`).  A GEMM screen keeps, per row, the refs within
-    twice the rounding bound E (:func:`_screen_slack`) of the row's screened
-    minimum; the cdist winner j is always kept, since s_j <= c_j + E <= c_k + E
-    <= s_k + 2E for every k.  A row left with one candidate takes it; the others,
-    and rows too large for the bound, are settled by ``cdist`` over their
-    candidates.
+    (:func:`_block_rows`).  A GEMM screen finds, per row, the refs within twice
+    the rounding bound E (:func:`_screen_slack`) of the row's screened minimum;
+    the cdist winner j is always among them, since s_j <= c_j + E <= c_k + E <=
+    s_k + 2E for every k.  A row with one such ref takes it.  Unsettled rows,
+    those with several and those too large for the bound, take their exact row:
+    the ``argmin`` of :func:`_sq_minima` over every ref.
     """
     refs = refs.astype(np.float64, copy=False)
     if refs.shape[0] == 0:
@@ -204,20 +225,13 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     rows = _block_rows(refs.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(x), rows):
-            xb = x[lo:lo + rows].astype(np.float64, copy=False)
-            s, slack = _screen_block(xb, refs, rr)
-            best = np.argmin(s, axis=1)
+            s, slack = _screen_block(x[lo:lo + rows].astype(np.float64, copy=False), refs, rr)
+            best = np.argmin(s, axis=1, out=labels[lo:lo + rows])
             limit = s[np.arange(len(s)), best] + 2 * slack
-            cand = s <= limit[:, None]
-            unbounded = np.isinf(slack)
-            cand[unbounded] = True
-            refine = np.flatnonzero(unbounded | (np.count_nonzero(cand, axis=1) > 1))
-            if refine.size:
-                sub = cand[refine]
-                cols = np.flatnonzero(sub.any(axis=0))
-                # a cdist value does not depend on the other rows and columns in the call
-                d = cdist(xb[refine], refs[cols], "sqeuclidean")
-                d[~sub[:, cols]] = np.inf
-                best[refine] = cols[np.argmin(d, axis=1)]
-            labels[lo:lo + len(best)] = best
+            near = np.count_nonzero(s <= limit[:, None], axis=1)
+            del s  # so that no two blocks are held at once
+            unsettled = np.flatnonzero(np.isinf(slack) | (near > 1))
+            if unsettled.size:
+                exact = _sq_minima(x[lo + unsettled], refs, np.arange(len(refs)))
+                best[unsettled] = np.argmin(exact, axis=1)
     return labels

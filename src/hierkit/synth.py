@@ -53,16 +53,13 @@ class TrajectoryParams:
     seed: int
 
     def __post_init__(self) -> None:
-        self.epochs = int(self.epochs)
-        self.dimension = int(self.dimension)
-        self.examples_per_class = int(self.examples_per_class)
         self.seed = int(self.seed)
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.examples_per_class < 1:
-            raise ValueError("examples_per_class must be >= 1")
+        for name in ("epochs", "dimension", "examples_per_class"):
+            setattr(self, name, int(getattr(self, name)))
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+            if getattr(self, name) >= 2**63:
+                raise ValueError(f"{name} {getattr(self, name)} does not fit in int64")
         for name in ("hypernym_gap_schedule", "hyponym_gap_schedule", "noise_schedule"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != (self.epochs,):
@@ -106,6 +103,8 @@ def gen_etf(c_count: int, dim: int, scale: float = 1.0) -> np.ndarray:
         raise ValueError(f"dim must be >= C-1 = {c_count - 1}, got {dim}")
     if not scale > 0:
         raise ValueError("scale must be > 0")
+    if not np.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     y = np.eye(c_count) - 1.0 / c_count
     u, sv, _ = np.linalg.svd(y)
     coords = u[:, :c_count - 1] * sv[:c_count - 1]
@@ -169,6 +168,8 @@ def gen_prediction_trajectory(h: Hierarchy, s: LabelSpace, epochs: int,
     examples = int(examples)
     if epochs < 1 or examples < 1:
         raise ValueError("epochs and examples must be >= 1")
+    if examples >= 2**63:  # np.arange would give no rows, and the id list would never end
+        raise ValueError(f"examples {examples} does not fit in int64")
     acc = np.asarray(accuracy_schedule, dtype=np.float64)
     within = np.asarray(within_hypernym_error_fraction_schedule, dtype=np.float64)
     for name, arr in (("accuracy_schedule", acc),
@@ -313,7 +314,10 @@ def parse_schedule(text: str, epochs: int, what: str) -> np.ndarray:
     except ValueError:
         raise ValueError(f"{what} expects 'linear:a:b' or a comma list, got {text!r}") from None
     if linear:
-        return np.linspace(start, stop, epochs)
+        if epochs >= 2**63:
+            raise ValueError(f"epochs {epochs} does not fit in int64")
+        with np.errstate(over="ignore", invalid="ignore"):  # range checks refuse inf and nan
+            return np.linspace(start, stop, epochs)
     if len(values) != epochs:
         raise ValueError(f"{what} lists {len(values)} values, expected {epochs}")
     return np.array(values)

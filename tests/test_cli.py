@@ -672,6 +672,57 @@ class TestMalformedInputsExitOne:
         self._fails(["nc", "compute", "--features", str(feats), "--head", str(head)],
                     tmp_path, capsys, f"{head}: head has 2 rows, but {feats} has {count} classes")
 
+    def test_synth_etf_beyond_float32(self, tmp_path, capsys):
+        # the float32 cast used to warn and write a file that the readers reject
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._fails(["synth", "etf", "--class-count", "3", "--dim", "4", "--scale", "1e39"],
+                        tmp_path, capsys, "does not fit in float32")
+        assert not (tmp_path / "out" / "etf.bin").exists()
+
+    def test_synth_features_beyond_float32(self, tax, spacefile, tmp_path, capsys):
+        edges, classes, _ = tax
+        cfg = tmp_path / "traj.cfg"
+        cfg.write_text("epochs=2\ndimension=10\nexamples_per_class=2\n"
+                       "hypernym_gap_schedule=1e39,1e39\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._fails(["synth", "features", "--hierarchy", str(edges), "--classes",
+                         str(classes), "--labelspace", str(spacefile), "--config", str(cfg),
+                         "--seed", "0"], tmp_path, capsys, "does not fit in float32")
+        assert not list((tmp_path / "out").glob("features_*"))
+
+    def test_synth_etf_infinite_scale(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._fails(["synth", "etf", "--class-count", "3", "--dim", "4", "--scale", "inf"],
+                        tmp_path, capsys, "scale must be finite, got inf")
+
+    def test_examples_per_class_beyond_int64(self, tax, spacefile, tmp_path, capsys):
+        edges, classes, _ = tax
+        cfg = tmp_path / "traj.cfg"
+        cfg.write_text(f"epochs=2\ndimension=10\nexamples_per_class={2**63}\n")
+        self._fails(["synth", "features", "--hierarchy", str(edges), "--classes", str(classes),
+                     "--labelspace", str(spacefile), "--config", str(cfg), "--seed", "0"],
+                    tmp_path, capsys, f"examples_per_class {2**63} does not fit in int64")
+
+    def test_infinite_ramp_refused_without_warning(self, tax, spacefile, tmp_path, capsys):
+        edges, classes, _ = tax
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._fails(["synth", "predictions", "--hierarchy", str(edges), "--classes",
+                         str(classes), "--labelspace", str(spacefile), "--epochs", "2",
+                         "--examples", "12", "--accuracy", "linear:0:inf", "--within", "0.5,0.5",
+                         "--seed", "1"], tmp_path, capsys, "values must be in [0, 1]")
+
+    def test_ramp_over_epochs_beyond_int64(self, tax, spacefile, tmp_path, capsys):
+        edges, classes, _ = tax
+        assert run(["synth", "predictions", "--hierarchy", str(edges), "--classes", str(classes),
+                    "--labelspace", str(spacefile), "--epochs", str(2**63), "--examples", "12",
+                    "--accuracy", "linear:0.3:0.9", "--within", "0.5,0.5", "--seed", "1",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"usage error: epochs {2**63} does not fit in int64\n"
+
     def test_empty_cover_matrix_refused(self, featdir, tmp_path, capsys, monkeypatch):
         # Features always hold a class, so stub an empty cover to reach the
         # matrix writer's refusal through the CLI.
@@ -709,6 +760,26 @@ def test_huge_label_without_labelspace_exits_one(tmp_path, action):
                           text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: Unable to allocate")
+
+
+def test_examples_beyond_int64_exit_one(tax, spacefile, tmp_path):
+    # np.arange(2**63) gave no rows and the example-id list grew until memory
+    # ran out, so the case runs in a child under a 1 GiB address-space limit.
+    resource = pytest.importorskip("resource")
+    edges, classes, _ = tax
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "hierkit.cli", "synth", "predictions",
+                           "--hierarchy", str(edges), "--classes", str(classes),
+                           "--labelspace", str(spacefile), "--epochs", "2",
+                           "--examples", str(2**63), "--accuracy", "linear:0.3:0.9",
+                           "--within", "0.5,0.5", "--seed", "1", "--out", str(tmp_path / "out")],
+                          env=_child_env(), preexec_fn=limit_memory, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: examples {2**63} does not fit in int64\n"
 
 
 @pytest.mark.parametrize("action", ["cover", "ccc"])
@@ -785,3 +856,96 @@ def test_manifold_cover_and_ccc_exit_0_1_or_2(cover_files, command, fmt, edits, 
     assert code in (0, 1, 2)
     assert err.getvalue() == "" or err.getvalue().startswith(("error:", "usage error:"))
     assert [str(w.message) for w in caught] == []
+
+
+# ------------------------------ the other seven subcommands: exit codes
+
+@pytest.fixture(scope="module")
+def other_files(tmp_path_factory):
+    """Valid inputs of every kind the remaining subcommands read."""
+    base = tmp_path_factory.mktemp("other_property")
+    (base / "edges.tsv").write_text(EDGES)
+    (base / "classes.tsv").write_text(CLASSES)
+    (base / "groups.tsv").write_text("fauna\tanimal\nflora\tplant\n")
+    (base / "traj.cfg").write_text("epochs=2\ndimension=10\nexamples_per_class=2\n")
+    assert run(["labelspace", "build", "--hierarchy", str(base / "edges.tsv"),
+                "--classes", str(base / "classes.tsv"), "--groups", str(base / "groups.tsv"),
+                "--name", "space", "--out", str(base)]) == 0
+    rng = np.random.default_rng(1)
+    f = FeatureSet(rng.standard_normal((36, 4)), np.arange(36) % 6, 6)
+    write_features(f, base / "features.bin")
+    write_features(f, base / "features.csv")
+    write_head(ClassifierHead(weights=rng.standard_normal((6, 4)), bias=np.zeros(6)),
+               base / "head.bin")
+    return base
+
+
+_TAX = ["--hierarchy", "edges.tsv", "--classes", "classes.tsv"]
+# per subcommand: its file flags (a value with {fmt} takes bin or csv) and its
+# numeric flags with a valid value; "{}" marks where a drawn number goes
+_OTHER_COMMANDS = {
+    "labelspace build": ([*_TAX, "--groups", "groups.tsv"], {}),
+    "labelspace random": (["--labelspace", "space.tsv"], {"--seed": "{}"}),
+    "nc compute": (["--features", "features.{fmt}", "--head", "head.bin",
+                    "--labelspace", "space.tsv"], {}),
+    "synth features": ([*_TAX, "--labelspace", "space.tsv", "--config", "traj.cfg"],
+                       {"--seed": "{}"}),
+    "synth predictions": ([*_TAX, "--labelspace", "space.tsv"],
+                          {"--epochs": "{}", "--examples": "{}", "--accuracy": "linear:0.3:{}",
+                           "--within": "{},0.5", "--seed": "{}"}),
+    "synth etf": ([], {"--class-count": "{}", "--dim": "{}", "--scale": "{}"}),
+    "oracle superclass-acc": ([], {"--p": "{}", "--sizes": "3,{}", "--trials": "{}",
+                                   "--seed": "{}"}),
+}
+_VALID = {"--seed": "1", "--epochs": "2", "--examples": "12", "--accuracy": "linear:0.3:0.9",
+          "--within": "0.5,0.5", "--class-count": "4", "--dim": "6", "--scale": "1.0",
+          "--p": "0.5", "--sizes": "3,3", "--trials": "1000"}
+_CONFIG_KEYS = ["epochs", "dimension", "examples_per_class", "seed",
+                "hypernym_gap_schedule", "noise_schedule"]
+_NUMBERS = ["0", "-1", str(2**63), str(10**20), "nan", "inf", "1e39"]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(_OTHER_COMMANDS)), fmt=st.sampled_from(["bin", "csv"]),
+       target=st.integers(0, 7), edits=_EDITS,
+       numbers=st.dictionaries(st.sampled_from([*_VALID, *_CONFIG_KEYS]),
+                               st.sampled_from(_NUMBERS), max_size=3))
+def test_other_subcommands_exit_0_1_or_2(other_files, command, fmt, target, edits, numbers):
+    # One input file is byte-mutated, and up to three numeric flags or config
+    # keys take a number from _NUMBERS.  A count of 2**63 or 10**20 is refused
+    # before anything is allocated (test_examples_beyond_int64_exit_one guards
+    # the one that was not), and a mutated class count meets a smaller head or
+    # hierarchy first, so the cases run in-process, with warnings recorded.
+    files, flags = _OTHER_COMMANDS[command]
+    work = other_files / "work"
+    work.mkdir(exist_ok=True)
+    config = (other_files / "traj.cfg").read_text() + "".join(
+        f"{key}={numbers[key]},{numbers[key]}\n" if key.endswith("schedule")
+        else f"{key}={numbers[key]}\n" for key in _CONFIG_KEYS if key in numbers)
+    argv = command.split()
+    for i, (flag, name) in enumerate(zip(files[::2], files[1::2])):
+        name = name.format(fmt=fmt)
+        data = bytearray(config.encode() if name == "traj.cfg"
+                         else (other_files / name).read_bytes())
+        if i == target % (len(files) // 2):
+            for op, pos, byte in edits:
+                pos %= len(data) + 1
+                if op == "insert":
+                    data[pos:pos] = byte
+                elif pos < len(data):
+                    data[pos:pos + 1] = byte if op == "set" else b""
+        (work / name).write_bytes(bytes(data))
+        argv.append(f"{flag}={work / name}")
+    argv += [f"{flag}={value.format(numbers[flag])}" if flag in numbers else f"{flag}={_VALID[flag]}"
+             for flag, value in flags.items()]
+    err = StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(argv + ["--out", str(work / "out")])
+    assert code in (0, 1, 2)
+    # argparse refuses a flag it cannot parse with its own usage text and exit 2
+    assert err.getvalue() == "" or err.getvalue().startswith(("error:", "usage error:")) \
+        or code == 2 and err.getvalue().startswith("usage: hierkit")
+    assert "Traceback" not in err.getvalue()
+    # the one warning by design: a singleton superclass cannot host a within error
+    assert [str(w.message) for w in caught if "singleton superclass" not in str(w.message)] == []

@@ -633,3 +633,47 @@ def test_nearest_refs_edge_shapes():
     assert nearest_refs(np.ones((3, 2)), refs[:1]).tolist() == [0, 0, 0]
     with pytest.raises(ValueError, match="at least one reference point"):
         nearest_refs(np.ones((3, 2)), np.zeros((0, 2)))
+
+
+# ------------------------------------ one exact call: unsettled rows, whole
+
+def test_unsettled_rows_take_their_whole_exact_row(monkeypatch):
+    # GroupScreen and nearest_refs settle what the screen cannot by the row, so
+    # every cdist call they make gets all the refs: no column subset is gathered.
+    calls = []
+
+    def recording(xa, xb, *args, **kwargs):
+        calls.append((case, len(xb)))
+        return cdist(xa, xb, *args, **kwargs)
+
+    for case in sorted(SCREEN_CASES):
+        x, refs, starts = SCREEN_CASES[case]()
+        grids = _hard_grids(x, refs, starts)  # runs the exact minima: not spied
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "cdist", recording)
+            for grid in grids.values():
+                screen = GroupScreen(x, refs, starts)
+                screen.step_indices(grid, np.zeros((len(x), len(starts)), dtype=np.uint16))
+        assert all(width == len(refs) for c, width in calls if c == case), case
+    for case in sorted(NEAREST_CASES):
+        x, refs = NEAREST_CASES[case]()
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "cdist", recording)
+            nearest_refs(x, refs)
+        assert all(width == len(refs) for c, width in calls if c == case), case
+    assert {"zero_distances", "near_overflow", "offset_ties", "overflow_rows",
+            "overflow_ties"} <= {c for c, _ in calls}
+
+
+def test_exact_cover_of_one_class_keeps_numpy_mean():
+    # With one class the contributions are one column, which numpy's mean sums
+    # pairwise: for these 40 rows that differs from the class sums in query order.
+    rng = np.random.default_rng(13)
+    query = FeatureSet(rng.standard_normal((40, 3)), np.zeros(40, dtype=int), 1)
+    support = FeatureSet(rng.standard_normal((40, 3)), np.zeros(40, dtype=int), 1)
+    mins = cdist(query.vectors, support.vectors).min(axis=1, keepdims=True)
+    contrib = np.clip(1.0 - mins / mins.max(), 0.0, 1.0)
+    assert kernels._class_sums(query.labels, contrib, 1)[0, 0] / 40 != contrib.mean()
+    sim = cover_similarity(query, support, CoverConfig(k=1, method="exact"))
+    assert sim.r_max == float(mins.max())
+    assert np.array_equal(sim.values, contrib.mean(axis=0, keepdims=True))

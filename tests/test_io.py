@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -357,6 +358,53 @@ class TestPredictionIdsRefused:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             write_predictions(log, path)
         assert not path.exists()
+
+
+class TestWritersRefuseWhatReadersReject:
+    """Each refusal comes before the file is opened, and without a numpy warning."""
+
+    def _refused(self, write, obj, path, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                write(obj, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("suffix", ["bin", "csv"])
+    def test_feature_value_beyond_float32(self, tmp_path, suffix):
+        f = FeatureSet(np.array([[1.0, -1e39]]), np.array([0]), 1)
+        self._refused(write_features, f, tmp_path / f"f.{suffix}",
+                      "feature value -1e+39 does not fit in float32")
+
+    def test_largest_float32_is_written(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        for suffix in ("bin", "csv"):
+            write_features(FeatureSet(np.array([[big, -big]]), np.array([0]), 1),
+                           tmp_path / f"f.{suffix}")
+            assert read_features(tmp_path / f"f.{suffix}").vectors.tolist() == [[big, -big]]
+
+    def test_label_beyond_uint32(self, tmp_path):
+        # the u4 cast used to wrap it: 5,000,000,000 read back as 705,032,704
+        f = FeatureSet(np.ones((2, 1)), np.array([0, 5_000_000_000]), 5_000_000_001)
+        self._refused(write_features, f, tmp_path / "f.bin",
+                      "label 5000000000 does not fit in uint32")
+        write_features(f, tmp_path / "f.csv")  # CSV labels are decimal: no limit
+        assert read_features(tmp_path / "f.csv").labels.tolist() == [0, 5_000_000_000]
+
+    def test_class_count_beyond_uint64(self, tmp_path):
+        f = FeatureSet(np.ones((1, 1)), np.array([0]), 2**64)
+        self._refused(write_features, f, tmp_path / "f.bin",
+                      f"class count {2**64} does not fit in uint64")
+        f.class_count = 2**64 - 1
+        write_features(f, tmp_path / "f.bin")
+        assert read_features(tmp_path / "f.bin").class_count == 2**64 - 1
+
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_head_value_beyond_float32(self, tmp_path, where):
+        values = {"weights": np.eye(2), "bias": np.zeros(2)}
+        values[where].flat[1] = 1e39
+        self._refused(write_head, ClassifierHead(**values), tmp_path / "h.bin",
+                      "head value 1e+39 does not fit in float32")
 
 
 class TestBlankLinesSkipped:
