@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import _class_sums, nearest_refs
+from .kernels import nearest_refs
 from .manifold import FeatureSet
 
 if TYPE_CHECKING:
@@ -115,6 +115,35 @@ class NCReport:
     nc4_mismatch: float
     label_space_name: str
     degenerate_flags: tuple[str, ...] = ()
+
+
+def _class_sums(labels: np.ndarray, x: np.ndarray, c: int) -> np.ndarray:
+    """Per-class row sums, bit for bit ``np.add.at(np.zeros((c, p)), labels, x)``.
+
+    A loop over the within-class rank r: pass r adds the r-th row, in index
+    order, of every class that has one.  Each class thus sums its rows in
+    index order from +0.0, as ``np.add.at`` does, and no class appears twice
+    in a pass, so the fancy ``+=`` is safe.  ``np.add.reduce`` or ``reduceat``
+    along the class axis would not be exact: numpy sums pairwise there.  Rows
+    are sorted stably by label unless already non-decreasing; with equal class
+    counts each pass is one strided slice.  The cost is one pass per row of
+    the largest class.
+    """
+    counts = np.bincount(labels, minlength=c)
+    p = x.shape[1]
+    sums = np.zeros((c, p))
+    xs = x if (labels[1:] >= labels[:-1]).all() else x[np.argsort(labels, kind="stable")]
+    m = int(counts.max())
+    if (counts == m).all():
+        blocks = xs.reshape(c, m, p)
+        for r in range(m):
+            sums += blocks[:, r]
+        return sums
+    starts = np.cumsum(counts) - counts
+    for r in range(m):
+        cls = np.flatnonzero(counts > r)
+        sums[cls] += xs[starts[cls] + r]
+    return sums
 
 
 def _class_means(f: FeatureSet) -> tuple[np.ndarray, np.ndarray]:

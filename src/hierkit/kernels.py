@@ -26,12 +26,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sq_minima(x: np.ndarray, refs: np.ndarray, starts: np.ndarray, out=None) -> np.ndarray:
+def _sq_minima(x: np.ndarray, refs: np.ndarray, starts=None, out=None) -> np.ndarray:
     """The (n, G) float64 array whose [i, g] is the minimum squared Euclidean
     distance from x[i] to the non-empty group refs[starts[g]:starts[g + 1]] (the
-    last runs to the end) of float64 ``refs``."""
+    last runs to the end) of float64 ``refs``.  Without ``starts`` each ref is
+    its own group: the ``cdist`` block itself, with no reduced copy of it."""
     d = cdist(x.astype(np.float64, copy=False), refs, "sqeuclidean")
-    return np.minimum.reduceat(d, starts, axis=1, out=out)
+    return d if starts is None else np.minimum.reduceat(d, starts, axis=1, out=out)
 
 
 def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -54,33 +55,6 @@ def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.
     with ThreadPoolExecutor(max_workers=max(1, min(cpus, len(blocks)))) as pool:
         list(pool.map(fill, blocks))
     return out
-
-
-def _class_sums(labels: np.ndarray, x: np.ndarray, c: int) -> np.ndarray:
-    """Per-class row sums, bit for bit ``np.add.at(np.zeros((c, p)), labels, x)``.
-
-    Pass r adds the r-th row, in index order, of every class that has one: one
-    pass per row of the largest class.  Each class thus sums its rows in index
-    order from +0.0, as ``np.add.at`` does, and no class appears twice in a
-    pass, so the fancy ``+=`` is safe.  ``np.add.reduce`` or ``reduceat`` would
-    not be exact: numpy sums pairwise there.  Rows are sorted stably by label
-    unless already non-decreasing; with equal class counts a pass is a slice.
-    """
-    counts = np.bincount(labels, minlength=c)
-    p = x.shape[1]
-    sums = np.zeros((c, p))
-    xs = x if (labels[1:] >= labels[:-1]).all() else x[np.argsort(labels, kind="stable")]
-    m = int(counts.max())
-    if (counts == m).all():
-        blocks = xs.reshape(c, m, p)
-        for r in range(m):
-            sums += blocks[:, r]
-        return sums
-    starts = np.cumsum(counts) - counts
-    for r in range(m):
-        cls = np.flatnonzero(counts > r)
-        sums[cls] += xs[starts[cls] + r]
-    return sums
 
 
 def _block_rows(n_refs: int) -> int:
@@ -215,7 +189,7 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     the cdist winner j is always among them, since s_j <= c_j + E <= c_k + E <=
     s_k + 2E for every k.  A row with one such ref takes it.  Unsettled rows,
     those with several and those too large for the bound, take their exact row:
-    the ``argmin`` of :func:`_sq_minima` over every ref.
+    the ``argmin`` of its :func:`_sq_minima` row over every ref.
     """
     refs = refs.astype(np.float64, copy=False)
     if refs.shape[0] == 0:
@@ -232,6 +206,6 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
             del s  # so that no two blocks are held at once
             unsettled = np.flatnonzero(np.isinf(slack) | (near > 1))
             if unsettled.size:
-                exact = _sq_minima(x[lo + unsettled], refs, np.arange(len(refs)))
+                exact = _sq_minima(x[lo + unsettled], refs)
                 best[unsettled] = np.argmin(exact, axis=1)
     return labels

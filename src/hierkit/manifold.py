@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .hierarchy import DistanceMatrix
-from .kernels import GroupScreen, _class_sums, min_sq_distances
+from .kernels import GroupScreen, min_sq_distances
 from .rng import substream
 
 __all__ = [
@@ -156,13 +156,16 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
     [0, r_max] divided by r_max (trapezoid rule on cfg.grid_points radii, or
     the exact step-function integral when cfg.method == "exact").
 
-    The exact method sums each class's contributions with ``kernels._class_sums``
-    in query order, the bits of the per-class mean (one class keeps numpy's mean).
-    The grid method needs only each minimum's grid step index and, when r_max is
-    None, the largest minimum: a :class:`~hierkit.kernels.GroupScreen` gives both
-    from one GEMM screen, where unsettled rows take their exact row, and
-    :func:`_grid_integrals` integrates once per step pattern.  Both give the bits
-    of the exact minima and the per-class loop, for any class sizes, k and grid.
+    The exact method takes the minima from ``min_sq_distances``.  The grid method
+    needs only each minimum's grid step index and, when cfg.r_max is None, the
+    largest minimum.  A :class:`~hierkit.kernels.GroupScreen` gives both, bit for
+    bit, from one GEMM per row block; the r_max candidate rows and the rows its
+    bounds leave unsettled take their exact row.  It writes the indices straight
+    into the padded index array of :func:`_grid_integrals`, which groups the
+    (class, support class) pairs by their sorted step indices with one lexsort,
+    runs the trapezoid once per group and gives the bits of the per-class loop
+    over boolean means, for any class sizes, k and grid.  The reduction order
+    (query order, then grid order) is fixed, so results are bit-reproducible.
     """
     classes = query.present_classes()
     if not np.array_equal(classes, support.present_classes()):
@@ -172,11 +175,13 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
     refs = support.vectors[order]
     if cfg.method == "exact":
         mins = min_sq_distances(query.vectors, refs, starts)
+        np.sqrt(mins, out=mins)
     else:
         screen = GroupScreen(query.vectors, refs, starts)
     r_max = cfg.r_max
-    if r_max is None:  # the root of the largest squared minimum: sqrt is monotone
-        r_max = float(np.sqrt(mins.max() if cfg.method == "exact" else screen.largest_minimum()))
+    if r_max is None:
+        r_max = float(mins.max() if cfg.method == "exact"
+                      else np.sqrt(screen.largest_minimum()))
     if not r_max > 0:
         raise ValueError(f"r_max must be > 0, got {r_max}")
 
@@ -184,12 +189,11 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
         # integral of 1{d < r} over [0, r_max] is max(0, r_max - d); below a
         # subnormal r_max, d / r_max overflows to inf and clips to 0 as it should
         with np.errstate(over="ignore"):
-            contrib = np.clip(1.0 - np.sqrt(mins, out=mins) / r_max, 0.0, 1.0)
-        if classes.size == 1:  # numpy's mean sums a single column pairwise
-            values = contrib.mean(axis=0, keepdims=True)
-        else:
-            labels = np.searchsorted(classes, query.labels)
-            values = _class_sums(labels, contrib, classes.size) / np.bincount(labels)[:, None]
+            contrib = np.clip(1.0 - mins / r_max, 0.0, 1.0)
+        values = np.empty((classes.size, classes.size))
+        for i, c in enumerate(classes):
+            rows = query.labels == c
+            values[i] = contrib[rows].mean(axis=0)
     else:
         grid = np.linspace(0.0, r_max, cfg.grid_points)
         # one pad row, which the class table of _grid_integrals picks with -1

@@ -77,6 +77,8 @@ def default_trajectory_params(epochs: int = 40, dimension: int = 64,
     gap ramps from 15% to 75% of the epochs, and the noise decays linearly to
     exactly 0 at the final epoch (the collapse endpoint).
     """
+    if epochs >= 2**63:  # np.arange would refuse it first, with numpy's own message
+        raise ValueError(f"epochs {epochs} does not fit in int64")
     t = np.arange(1, epochs + 1, dtype=np.float64)
     hyper = 2.0 * np.minimum(1.0, t / max(1.0, 0.25 * epochs))
     hypo = np.clip((t - 0.15 * epochs) / max(1.0, 0.6 * epochs), 0.0, 1.0)
