@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import nearest_refs
+from .kernels import _block_rows, nearest_refs
 from .manifold import FeatureSet
 
 if TYPE_CHECKING:
@@ -163,12 +163,11 @@ def class_statistics(f: FeatureSet) -> ClassStats:
     class 0..C-1 must have at least one example.
     """
     counts, class_means = _class_means(f)
-    x = f.vectors.astype(np.float64, copy=False)
-    n = x.shape[0]
+    n = len(f)
     c = f.class_count
-    global_mean = x.mean(axis=0)
+    global_mean = f.vectors.mean(axis=0, dtype=np.float64)
     dev_w = class_means[f.labels]
-    np.subtract(x, dev_w, out=dev_w)
+    np.subtract(f.vectors, dev_w, out=dev_w)
     sigma_w = dev_w.T @ dev_w / n
     dev_b = class_means - global_mean
     sigma_b = dev_b.T @ dev_b / c
@@ -247,18 +246,39 @@ def nearest_mean_labels(f: FeatureSet, stats: Optional[ClassStats] = None) -> np
     return nearest_refs(f.vectors, means)
 
 
+def _linear_labels(x: np.ndarray, head: ClassifierHead) -> np.ndarray:
+    """argmax_c <w_c, x> + b_c per row of ``x``; ties go to the lower class index.
+
+    Bit for bit ``argmax(x.astype(float64) @ W.T + b, axis=1)``, without the
+    N x C scores.  Row blocks of :func:`_block_rows` of the wider of C (a
+    block's scores) and p (its float64 row copy) rows keep only their argmax.
+    The last block takes any shorter tail: OpenBLAS may round a GEMM of a few
+    rows differently from the whole call, while blocks of this size give the
+    whole call's bits.  Fewer rows than one block make one block, the whole call.
+    """
+    n = len(x)
+    rows = _block_rows(max(head.weights.shape))
+    blocks = max(1, n // rows)
+    labels = np.empty(n, dtype=np.intp)
+    for i in range(blocks):
+        lo, hi = i * rows, (n if i == blocks - 1 else (i + 1) * rows)
+        scores = x[lo:hi].astype(np.float64, copy=False) @ head.weights.T
+        scores += head.bias
+        np.argmax(scores, axis=1, out=labels[lo:hi])
+        del scores  # so that no two blocks are held at once
+    return labels
+
+
 def nc4_mismatch(f: FeatureSet, stats: ClassStats, head: ClassifierHead) -> float:
     """Fraction of examples where the linear rule and NCC disagree.
 
-    Linear rule: argmax_c <w_c, h> + b_c.  NCC: argmin_c ||h - mu_c||.
-    Ties break toward the lower class index in both rules.
+    Linear rule: argmax_c <w_c, h> + b_c (:func:`_linear_labels`).  NCC:
+    argmin_c ||h - mu_c||.  Ties break toward the lower class index in both
+    rules.  Neither holds an N x C array or a float64 copy of the features.
     """
     if head.class_count != stats.class_count:
         raise ValueError("head row count does not match the number of classes")
-    scores = f.vectors.astype(np.float64, copy=False) @ head.weights.T
-    scores += head.bias
-    linear = np.argmax(scores, axis=1)
-    del scores  # an N x C array: free it before the readout
+    linear = _linear_labels(f.vectors, head)
     ncc = nearest_mean_labels(f, stats)
     return float(np.mean(linear != ncc))
 

@@ -24,6 +24,7 @@ no final newline).
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Optional
 
@@ -80,14 +81,18 @@ def _float32(a: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _read_exact(fh, count: int, what: str, path) -> bytes:
-    # a header may claim more than memory holds: ask only for what the file has
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    buf = fh.read(min(count, max(left, 0)))
-    if len(buf) != count:
+def _read_array(fh, shape: tuple[int, ...], dtype: str, what: str, path) -> np.ndarray:
+    """The next ``shape`` array of ``dtype`` in ``fh``, read into a new writable array."""
+    count = math.prod(shape) * np.dtype(dtype).itemsize
+    # a header may claim more than memory holds: allocate only what the file has
+    left = max(os.fstat(fh.fileno()).st_size - fh.tell(), 0)
+    fits = count <= left
+    out = np.empty(shape if fits else 0, dtype)
+    got = fh.readinto(out) if fits else left
+    if got != count:
         raise ValueError(f"{path}: truncated payload reading {what}: "
-                         f"expected {count} bytes, got {len(buf)}")
-    return buf
+                         f"expected {count} bytes, got {got}")
+    return out
 
 
 def _no_trailing(fh, path) -> None:
@@ -106,8 +111,7 @@ def _check_magic(got: bytes, expected: bytes, path) -> None:
 
 
 def _read_u64(fh, n: int, what: str, path) -> tuple[int, ...]:
-    buf = _read_exact(fh, 8 * n, what, path)
-    return tuple(int(x) for x in np.frombuffer(buf, dtype="<u8"))
+    return tuple(int(x) for x in _read_array(fh, (n,), "<u8", what, path))
 
 
 # --------------------------------------------------------------- CSV dialect
@@ -177,10 +181,9 @@ def read_features(path) -> FeatureSet:
             n, p, c = _read_u64(fh, 3, "header", path)
             if n == 0:
                 raise ValueError(f"{path}: feature file contains no data rows")
-            labels = np.frombuffer(_read_exact(fh, 4 * n, "labels", path), dtype="<u4")
-            data = np.frombuffer(_read_exact(fh, 4 * n * p, "vectors", path), dtype="<f4")
+            labels = _read_array(fh, (n,), "<u4", "labels", path)
+            vectors = _read_array(fh, (n, p), "<f4", "vectors", path)
             _no_trailing(fh, path)
-            vectors = data.reshape(n, p).astype(np.float32)
             if not np.isfinite(vectors).all():
                 raise ValueError(f"{path}: feature vectors contain non-finite values")
             if int(labels.max()) >= c:
@@ -245,9 +248,9 @@ def read_distance_matrix(path) -> DistanceMatrix:
             (n,) = _read_u64(fh, 1, "header", path)
             if n == 0:
                 raise ValueError(f"{path}: matrix has no labels")
-            data = np.frombuffer(_read_exact(fh, 8 * n * n, "matrix", path), dtype="<f8")
+            values = _read_array(fh, (n, n), "<f8", "matrix", path)
             _no_trailing(fh, path)
-            return DistanceMatrix(labels=list(range(n)), values=data.reshape(n, n).copy())
+            return DistanceMatrix(labels=list(range(n)), values=values)
         if head in _KNOWN:
             _check_magic(head, DMAT_MAGIC, path)
     with open_text(path) as fh:
@@ -291,11 +294,9 @@ def read_head(path) -> ClassifierHead:
         c, p = _read_u64(fh, 2, "header", path)
         if c == 0:
             raise ValueError(f"{path}: head has no classes")
-        w = np.frombuffer(_read_exact(fh, 4 * c * p, "weights", path), dtype="<f4")
-        b = np.frombuffer(_read_exact(fh, 4 * c, "bias", path), dtype="<f4")
+        weights = _read_array(fh, (c, p), "<f4", "weights", path)
+        bias = _read_array(fh, (c,), "<f4", "bias", path)
         _no_trailing(fh, path)
-        weights = w.reshape(c, p).astype(np.float32)
-        bias = b.astype(np.float32)
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise ValueError(f"{path}: head contains non-finite values")
         return ClassifierHead(weights=weights, bias=bias)

@@ -57,9 +57,12 @@ def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.
     return out
 
 
-def _block_rows(n_refs: int) -> int:
-    """Rows per block, so that a block holds about 2**22 distances (32 MB of float64)."""
-    return max(1, 2**22 // max(1, n_refs))
+def _block_rows(width: int) -> int:
+    """Rows per block, so that a block holds about 2**22 float64 values (32 MB)
+    in an array of ``width`` values per row.  Callers pass the widest such
+    array: a block's distances or scores, one per ref, or, where the block's
+    rows are cast to float64, its row copy, one value per dimension."""
+    return max(1, 2**22 // max(1, width))
 
 
 def _screen_slack(xx: np.ndarray, rr_max: float, p: int) -> np.ndarray:
@@ -183,20 +186,21 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Index of the nearest row of ``refs`` for each row of ``x``.
 
     Bit for bit ``argmin(cdist(x, refs, "sqeuclidean"), axis=1)``: ties go to the
-    lower index.  Works in float64, in row blocks of about 2**22 distances
-    (:func:`_block_rows`).  A GEMM screen finds, per row, the refs within twice
-    the rounding bound E (:func:`_screen_slack`) of the row's screened minimum;
-    the cdist winner j is always among them, since s_j <= c_j + E <= c_k + E <=
-    s_k + 2E for every k.  A row with one such ref takes it.  Unsettled rows,
-    those with several and those too large for the bound, take their exact row:
-    the ``argmin`` of its :func:`_sq_minima` row over every ref.
+    lower index.  Works in float64, in row blocks of :func:`_block_rows` of the
+    wider of the ref count (the screen) and the dimension (the float64 row copy);
+    the labels do not depend on the blocking.  A GEMM screen finds, per row, the
+    refs within twice the rounding bound E (:func:`_screen_slack`) of the row's
+    screened minimum; the cdist winner j is always among them, since s_j <= c_j +
+    E <= c_k + E <= s_k + 2E for every k.  A row with one such ref takes it.
+    Unsettled rows, those with several and those too large for the bound, take
+    their exact row: the ``argmin`` of its :func:`_sq_minima` row over every ref.
     """
     refs = refs.astype(np.float64, copy=False)
     if refs.shape[0] == 0:
         raise ValueError("nearest_refs needs at least one reference point")
     rr = np.einsum("ij,ij->i", refs, refs)
     labels = np.empty(len(x), dtype=np.intp)
-    rows = _block_rows(refs.shape[0])
+    rows = _block_rows(max(refs.shape))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(x), rows):
             s, slack = _screen_block(x[lo:lo + rows].astype(np.float64, copy=False), refs, rr)

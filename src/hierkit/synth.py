@@ -315,6 +315,8 @@ def parse_schedule(text: str, epochs: int, what: str) -> np.ndarray:
             start, stop = values
     except ValueError:
         raise ValueError(f"{what} expects 'linear:a:b' or a comma list, got {text!r}") from None
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     if linear:
         if epochs >= 2**63:
             raise ValueError(f"epochs {epochs} does not fit in int64")

@@ -732,6 +732,17 @@ class TestMalformedInputsExitOne:
                     "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"usage error: epochs {2**63} does not fit in int64\n"
 
+    @pytest.mark.parametrize("epochs", ["-1", "0"])
+    @pytest.mark.parametrize("accuracy", ["linear:0:1", "0.5,0.5"])
+    def test_schedule_over_no_epochs(self, tax, spacefile, tmp_path, capsys, epochs, accuracy):
+        # np.linspace refused a negative count first, with numpy's own message
+        edges, classes, _ = tax
+        assert run(["synth", "predictions", "--hierarchy", str(edges), "--classes", str(classes),
+                    "--labelspace", str(spacefile), "--epochs", epochs, "--examples", "12",
+                    "--accuracy", accuracy, "--within", "0.5,0.5", "--seed", "1",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"usage error: epochs must be >= 1, got {epochs}\n"
+
     def test_empty_cover_matrix_refused(self, featdir, tmp_path, capsys, monkeypatch):
         # Features always hold a class, so stub an empty cover to reach the
         # matrix writer's refusal through the CLI.

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hierkit.collapse import (ClassStats, ClassifierHead, class_statistics,
+import hierkit.collapse as collapse
+import hierkit.kernels as kernels
+from hierkit.collapse import (ClassStats, ClassifierHead, _linear_labels, class_statistics,
                               lift_to_superclass, nc1, nc2_metrics,
                               nc3_self_duality, nc4_mismatch, nc_report,
                               nearest_mean_labels)
@@ -73,6 +77,27 @@ class TestClassStatistics:
         f = FeatureSet(np.zeros((2, 1)), np.array([0, 1]), 3)
         with pytest.raises(ValueError, match="class 2 has no examples"):
             class_statistics(f)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [1, 2, 64])
+    def test_matches_the_float64_copy(self, dtype, p):
+        # The statistics once worked on x = vectors.astype(float64); they now
+        # read the vectors directly.  N > 8192 spans several of numpy's cast
+        # buffers, and unsorted labels take the sorted class-sum path.
+        rng = np.random.default_rng(p)
+        n, c = 20_000, 30
+        labels = rng.integers(0, c, n)
+        f = FeatureSet((rng.standard_normal((c, p))[labels] * 5
+                        + rng.standard_normal((n, p)) + 3).astype(dtype), labels, c)
+        st = class_statistics(f)
+        x = f.vectors.astype(np.float64, copy=False)
+        global_mean = x.mean(axis=0)
+        dev_w = st.class_means[f.labels]
+        np.subtract(x, dev_w, out=dev_w)
+        dev_b = st.class_means - global_mean
+        assert np.array_equal(st.global_mean, global_mean)
+        assert np.array_equal(st.sigma_w, dev_w.T @ dev_w / n)
+        assert np.array_equal(st.sigma_b, dev_b.T @ dev_b / c)
 
     def test_scatter_symmetry_enforced(self):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -204,6 +229,93 @@ class TestNc4:
         st = class_statistics(f)
         relabeled = FeatureSet(f.vectors, np.zeros_like(f.labels), f.class_count)
         assert nc4_mismatch(f, st, head) == nc4_mismatch(relabeled, st, head)
+
+
+class TestLinearReadout:
+    """The blocked readout against the whole float64 GEMM, bit for bit.
+
+    At p=512 and C=64 a block of 64 rows runs OpenBLAS's general GEMM kernel,
+    but a tail of 1-3 rows falls under its small-matrix threshold: with
+    OpenBLAS 0.3.31 plain ``range(0, n, rows)`` blocks round those tails
+    differently from the whole call.  The readout's last block takes the tail.
+    """
+
+    ROWS, P, C = 64, 512, 64
+
+    def _case(self, n, dtype):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, self.P)).astype(dtype)
+        head = ClassifierHead(weights=rng.standard_normal((self.C, self.P)),
+                              bias=rng.standard_normal(self.C))
+        return x, head
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 3, ROWS + 1])
+    def test_scores_and_labels_match_the_whole_gemm(self, monkeypatch, dtype, extra):
+        n = self.ROWS + extra
+        x, head = self._case(n, dtype)
+        whole = x.astype(np.float64) @ head.weights.T + head.bias
+        monkeypatch.setattr(collapse, "_block_rows", lambda width: self.ROWS)
+        blocks = []
+        argmax = np.argmax
+
+        def spy(a, *args, **kwargs):
+            blocks.append(a.copy())
+            return argmax(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "argmax", spy)
+            labels = _linear_labels(x, head)
+        sizes = [len(b) for b in blocks]
+        assert sum(sizes) == n and min(sizes) >= min(n, self.ROWS)
+        assert np.array_equal(np.vstack(blocks), whole)
+        assert np.array_equal(labels, np.argmax(whole, axis=1))
+
+    @pytest.mark.parametrize("c, p", [(64, 512), (512, 64)])
+    def test_blocks_count_the_float64_row_copy(self, monkeypatch, c, p):
+        asked = []
+        monkeypatch.setattr(collapse, "_block_rows", lambda width: asked.append(width) or 7)
+        rng = np.random.default_rng(c)
+        head = ClassifierHead(weights=rng.standard_normal((c, p)), bias=np.zeros(c))
+        _linear_labels(rng.standard_normal((20, p)), head)
+        assert asked == [512]
+
+
+class TestBoundedMemory:
+    """nc compute holds no N x C array and no float64 copy of the features.
+
+    With row blocks of 256 rows, ``class_statistics`` holds one N x p float64
+    array (the deviations, whose product fixes Sigma_W's bits) and the NC
+    report, in either label space, holds only blocks and length-N labels.
+    """
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_traced_peaks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_block_rows", lambda width: 256)
+        monkeypatch.setattr(collapse, "_block_rows", lambda width: 256)
+        rng = np.random.default_rng(15)
+        n, c, p = 20_000, 200, 128
+        labels = rng.permutation(np.arange(n) % c)
+        vectors = rng.standard_normal((c, p))[labels] * 2 + rng.standard_normal((n, p))
+        f = FeatureSet(vectors.astype(np.float32), labels, c)
+        head = ClassifierHead(weights=rng.standard_normal((c, p)), bias=rng.standard_normal(c))
+        space = LabelSpace(name="hypernyms", table=np.arange(c) % 10)
+        one_copy = n * p * 8  # an N x p float64 array
+
+        stats, peak = self._peak(lambda: class_statistics(f))
+        assert peak < 1.1 * one_copy
+        _, peak = self._peak(lambda: nc_report(f, head, stats=stats))
+        assert peak < 0.25 * one_copy
+        lifted, lifted_head = lift_to_superclass(stats, head, space)
+        _, peak = self._peak(lambda: nc_report(f, lifted_head, "hypernyms", stats=lifted))
+        assert peak < 0.25 * one_copy
 
 
 class TestLift:

@@ -576,7 +576,20 @@ def test_nearest_refs_match_cdist(case):
 def test_float32_case_spans_several_blocks():
     x, refs = _float32_classes_case()
     assert x.dtype == np.float32 and len(refs) == 1000
-    assert len(x) > 2 * _block_rows(len(refs))
+    assert len(x) > 2 * _block_rows(max(refs.shape))
+
+
+def test_nearest_refs_blocks_count_the_float64_row_copy(monkeypatch):
+    # 10 refs at p=512: blocks of 2**22 // 10 rows would cast 419,430 rows to
+    # float64 at once, 1.6 GB; the wider of refs and dimension sizes the block.
+    asked = []
+    monkeypatch.setattr(kernels, "_block_rows", lambda width: asked.append(width) or 7)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((20, 512)).astype(np.float32)
+    refs = rng.standard_normal((10, 512))
+    assert np.array_equal(nearest_refs(x, refs),
+                          np.argmin(cdist(x, refs, "sqeuclidean"), axis=1))
+    assert asked == [512]
 
 
 def test_offset_ties_case_needs_the_refine():
