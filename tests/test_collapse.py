@@ -234,26 +234,21 @@ class TestNc4:
 class TestLinearReadout:
     """The blocked readout against the whole float64 GEMM, bit for bit.
 
-    At p=512 and C=64 a block of 64 rows runs OpenBLAS's general GEMM kernel,
-    but a tail of 1-3 rows falls under its small-matrix threshold: with
-    OpenBLAS 0.3.31 plain ``range(0, n, rows)`` blocks round those tails
-    differently from the whole call.  The readout's last block takes the tail.
+    At p=512 and C=64, OpenBLAS 0.3.31 gives a block of 64 rows the bits of
+    the whole call, but not a tail of 1-3 rows run alone: plain
+    ``range(0, n, rows)`` blocks fail this test.  The readout's last block
+    takes the tail.
     """
 
-    ROWS, P, C = 64, 512, 64
-
-    def _case(self, n, dtype):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal((n, self.P)).astype(dtype)
-        head = ClassifierHead(weights=rng.standard_normal((self.C, self.P)),
-                              bias=rng.standard_normal(self.C))
-        return x, head
+    ROWS = 64
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("extra", [-1, 0, 1, 3, ROWS + 1])
     def test_scores_and_labels_match_the_whole_gemm(self, monkeypatch, dtype, extra):
         n = self.ROWS + extra
-        x, head = self._case(n, dtype)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 512)).astype(dtype)
+        head = ClassifierHead(weights=rng.standard_normal((64, 512)), bias=rng.standard_normal(64))
         whole = x.astype(np.float64) @ head.weights.T + head.bias
         monkeypatch.setattr(collapse, "_block_rows", lambda width: self.ROWS)
         blocks = []
