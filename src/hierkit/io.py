@@ -15,10 +15,12 @@ out-of-range labels are all errors, named by path and, in CSV, by line.
 Prediction logs have two readers.  A log in the canonical subset of the
 dialect -- the exact header, printable-ASCII lines each ended by `\\n` with
 three commas, epoch and labels of 1-18 ASCII digits, epochs >= 1, no duplicate
-(epoch, example_id) -- is parsed column-wise in numpy.  Any other file is read
-again from the start by the row loop, which alone reports errors and keeps
-`int()`'s leniency (`+5`, ` 5`, `1_0`, non-ASCII digits, `\\r\\n`, blank lines,
-no final newline).
+(epoch, example_id) -- is parsed column-wise in numpy, in line-aligned chunks
+of about 4 MiB.  Any other file is read again from the start by the row loop,
+which alone reports errors and keeps `int()`'s leniency (`+5`, ` 5`, `1_0`,
+non-ASCII digits, `\\r\\n`, blank lines, no final newline).  The log writer
+formats blocks of 65,536 rows.  Neither it nor the columnar reader holds the
+whole file, or a Python object per record of the whole log, at once.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
 from typing import Optional
 
 import numpy as np
 
 from .collapse import ClassifierHead, NCReport
 from .hierarchy import DistanceMatrix, open_text
-from .manifold import FeatureSet, SimilarityMatrix
+from .manifold import _NON_FINITE, FeatureSet, SimilarityMatrix
 from .metrics import ConfusionMatrix, MetricSeries, PredictionLog
 
 __all__ = [
@@ -184,11 +187,8 @@ def read_features(path) -> FeatureSet:
             labels = _read_array(fh, (n,), "<u4", "labels", path)
             vectors = _read_array(fh, (n, p), "<f4", "vectors", path)
             _no_trailing(fh, path)
-            if not np.isfinite(vectors).all():
-                raise ValueError(f"{path}: feature vectors contain non-finite values")
-            if int(labels.max()) >= c:
-                raise ValueError(f"{path}: label {int(labels.max())} >= class count {c}")
-            return FeatureSet(vectors=vectors, labels=labels.astype(np.int64), class_count=c)
+            return _feature_set(path, vectors, labels.astype(np.int64), c,
+                                f"label {int(labels.max())} >= class count {c}")
         if head in _KNOWN:
             _check_magic(head, FEATURES_MAGIC, path)
     return _read_features_csv(path, head)
@@ -212,12 +212,18 @@ def _read_features_csv(path, head: bytes) -> FeatureSet:
         raise ValueError(f"{path}: CSV contains no data rows")
     with np.errstate(over="ignore"):  # beyond float32 is inf, refused next
         vectors = np.vstack(rows).astype(np.float32)
-    if not np.isfinite(vectors).all():
-        raise ValueError(f"{path}: feature vectors contain non-finite values")
     lab = np.array(labels, dtype=np.int64)
-    if lab.min() < 0:
-        raise ValueError(f"{path}: negative class label")
-    return FeatureSet(vectors=vectors, labels=lab, class_count=int(lab.max()) + 1)
+    return _feature_set(path, vectors, lab, int(lab.max()) + 1, "negative class label")
+
+
+def _feature_set(path, vectors, labels, class_count: int, label_error: str) -> FeatureSet:
+    """The FeatureSet, its refusal named by ``path``.  FeatureSet checks the
+    vectors' finiteness, the one pass over them, before the labels; any other
+    refusal is of labels outside [0, class_count), reported as ``label_error``."""
+    try:
+        return FeatureSet(vectors=vectors, labels=labels, class_count=class_count)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e if str(e) == _NON_FINITE else label_error}") from None
 
 
 # ---------------------------------------------------- square f64 matrices
@@ -306,10 +312,17 @@ def read_head(path) -> ClassifierHead:
 
 _PRED_HEADER = ["epoch", "example_id", "true_label", "pred_label"]
 _PRED_HEADER_LINE = (",".join(_PRED_HEADER) + "\n").encode()
+_LOG_BLOCK_ROWS = 65_536  # rows per formatted block of write_predictions
+_LOG_CHUNK_BYTES = 1 << 22  # bytes per read of the columnar log reader
 
 
 def write_predictions(log: PredictionLog, path) -> None:
-    """Write a prediction log CSV; refuses ids that read_predictions would reject."""
+    """Write a prediction log CSV; refuses ids that read_predictions would reject.
+
+    The ids are checked before the file is opened.  The rows are then
+    formatted in blocks of ``_LOG_BLOCK_ROWS``, each one string handed to
+    :func:`write_csv`, so the writer holds one block's Python objects at a time.
+    """
     ids = np.ascontiguousarray(log.example_ids.astype(str, copy=False))
     units = ids.view(np.uint32).reshape(len(ids), ids.itemsize // 4)
     # np.strings.find cannot look for NUL: an id holds one where a zero code
@@ -319,9 +332,15 @@ def write_predictions(log: PredictionLog, path) -> None:
     if bad.size:
         raise ValueError(f"example_id {str(ids[bad[0]])!r} contains a comma, a line break "
                          f"or a NUL")
-    columns = (log.epochs.tolist(), log.example_ids.tolist(), log.true_labels.tolist(),
-               log.pred_labels.tolist())
-    write_csv(path, ",".join(_PRED_HEADER), (f"{e},{x},{t},{p}" for e, x, t, p in zip(*columns)))
+
+    def blocks():
+        for lo in range(0, len(log), _LOG_BLOCK_ROWS):
+            rows = slice(lo, lo + _LOG_BLOCK_ROWS)
+            columns = (log.epochs[rows].tolist(), log.example_ids[rows].tolist(),
+                       log.true_labels[rows].tolist(), log.pred_labels[rows].tolist())
+            yield "\n".join(f"{e},{x},{t},{p}" for e, x, t, p in zip(*columns))
+
+    write_csv(path, ",".join(_PRED_HEADER), blocks())
 
 
 def read_predictions(path) -> PredictionLog:
@@ -333,9 +352,12 @@ def read_predictions(path) -> PredictionLog:
 
     A log in the canonical subset named in the module docstring, which is
     what :func:`write_predictions` gives for ASCII ids, is parsed column-wise
-    in numpy.  Any other file, every malformed one included, is read again
-    from the start by the row loop, the only code that reports errors; the
-    two give identical arrays wherever both accept a file.
+    in numpy, one line-aligned chunk of about ``_LOG_CHUNK_BYTES`` at a time:
+    the read holds the arrays it returns, one chunk of the file, and the int64
+    columns and id bytes parsed from the chunks so far.  Any other file, every
+    malformed one included, is read again from the start by the row loop, the
+    only code that reports errors; the two give identical arrays wherever both
+    accept a file.
     """
     columns = _columnar_predictions(path)
     if columns is None:
@@ -350,13 +372,58 @@ def _columnar_predictions(path):
 
     The subset is the one the module docstring names; 18 digits cannot
     overflow int64.  The ids get the dtype ``np.array`` gives the same strings.
+    The file is read in line-aligned chunks of about ``_LOG_CHUNK_BYTES``, each
+    checked and parsed alone; only the (epoch, example_id) duplicate check
+    runs over the whole log, once every chunk is in.
     """
+    chunks = deque()
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(_PRED_HEADER_LINE) or len(raw) == len(_PRED_HEADER_LINE) \
-            or raw[-1:] != b"\n":
+        if fh.read(len(_PRED_HEADER_LINE)) != _PRED_HEADER_LINE:
+            return None
+        tail = b""  # the partial last line of the previous read
+        while data := fh.read(_LOG_CHUNK_BYTES):
+            data = tail + data
+            cut = data.rfind(b"\n") + 1
+            tail = data[cut:]
+            if cut:
+                chunk = _canonical_lines(np.frombuffer(data, dtype=np.uint8, count=cut))
+                if chunk is None:
+                    return None
+                chunks.append(chunk)
+    if tail or not chunks:  # no final newline, or no records
         return None
-    b = np.frombuffer(raw, dtype=np.uint8, offset=len(_PRED_HEADER_LINE))
+    n = sum(len(chunk[0]) for chunk in chunks)
+    w = max(1, max(chunk[4] for chunk in chunks))
+    epochs, true, pred = (np.empty(n, dtype=np.int64) for _ in range(3))
+    padded = np.zeros((n, -(-w // 8) * 8), dtype=np.uint8)
+    lo = 0
+    while chunks:
+        e, t, p, ids, _ = chunks.popleft()
+        hi = lo + len(e)
+        epochs[lo:hi], true[lo:hi], pred[lo:hi] = e, t, p
+        padded[lo:hi, :ids.shape[1]] = ids
+        lo = hi
+    # NUL-padded id bytes in 8-byte words: no id holds a NUL, so equal words
+    # are equal ids
+    words = padded.view(np.uint64)
+    order = np.lexsort((*words.T[::-1], epochs))
+    same = np.diff(epochs[order]) == 0
+    for col in words.T:
+        same &= np.diff(col[order]) == 0
+    if same.any():
+        return None
+    ids = np.empty(n, dtype=f"U{w}")
+    # ASCII bytes are their own code points
+    ids.view(np.uint32).reshape(n, w)[:] = padded[:, :w]
+    return epochs, ids, true, pred
+
+
+def _canonical_lines(b: np.ndarray):
+    """(epochs, true, pred, padded ids, longest id) of the whole lines ``b``, else None.
+
+    The ids are NUL-padded bytes, one row per line, as wide as the longest id
+    (at least 1) rounded up to 8 bytes.
+    """
     ends = np.flatnonzero(b == ord("\n"))
     # bytes outside 0x20-0x7E wrap past 0x5E; the line ends must be the only ones
     if np.count_nonzero(b - np.uint8(0x20) > 0x5E) != ends.size:
@@ -375,23 +442,12 @@ def _columnar_predictions(path):
     if epochs is None or true is None or pred is None or epochs.min() < 1:
         return None
     lo, width = commas[:, 0] + 1, commas[:, 1] - commas[:, 0] - 1
-    w = max(1, int(width.max()))
-    # NUL-padded id bytes in 8-byte words: no id holds a NUL, so equal words
-    # are equal ids
-    padded = np.zeros((n, -(-w // 8) * 8), dtype=np.uint8)
-    for j in range(int(width.max())):
+    longest = int(width.max())
+    padded = np.zeros((n, -(-max(1, longest) // 8) * 8), dtype=np.uint8)
+    for j in range(longest):
         live = width > j
         padded[live, j] = b[lo[live] + j]
-    words = padded.view(np.uint64)
-    order = np.lexsort((*words.T[::-1], epochs))
-    same = np.diff(epochs[order]) == 0
-    for col in words.T:
-        same &= np.diff(col[order]) == 0
-    if same.any():
-        return None
-    # ASCII bytes are their own code points
-    ids = padded[:, :w].astype(np.uint32).view(f"U{w}").ravel()
-    return epochs, ids, true, pred
+    return epochs, true, pred, padded, longest
 
 
 def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:

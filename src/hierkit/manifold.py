@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .hierarchy import DistanceMatrix
-from .kernels import GroupScreen, min_sq_distances
+from .kernels import GroupScreen, _block_rows, min_sq_distances
 from .rng import substream
 
 __all__ = [
@@ -28,6 +28,9 @@ __all__ = [
     "split_query_support",
     "to_distance_matrix",
 ]
+
+
+_NON_FINITE = "feature vectors contain non-finite values"
 
 
 @dataclass
@@ -49,8 +52,8 @@ class FeatureSet:
             raise ValueError(f"vectors must be 2-D, got shape {self.vectors.shape}")
         if self.labels.shape != (self.vectors.shape[0],):
             raise ValueError("labels length does not match vector count")
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("feature vectors contain non-finite values")
+        if not _all_finite(self.vectors):
+            raise ValueError(_NON_FINITE)
         if self.class_count < 1:
             raise ValueError("class_count must be >= 1")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
@@ -65,6 +68,12 @@ class FeatureSet:
 
     def present_classes(self) -> np.ndarray:
         return np.unique(self.labels)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` of a 2-D array in row blocks: no boolean copy of ``a``."""
+    rows = _block_rows(a.shape[1])
+    return all(np.isfinite(a[lo:lo + rows]).all() for lo in range(0, a.shape[0], rows))
 
 
 @dataclass

@@ -125,11 +125,11 @@ def accuracy_series(log: PredictionLog) -> MetricSeries:
     """A(t): percent of records with pred == true, per epoch."""
     if len(log) == 0:
         raise ValueError("cannot compute accuracy of an empty log")
-    epochs, starts = np.unique(log.epochs, return_index=True)
-    correct = (log.true_labels == log.pred_labels).astype(np.float64)
-    sums = np.add.reduceat(correct, starts)
+    # epochs are grouped and >= 1: each epoch starts where the value changes
+    starts = np.flatnonzero(np.diff(log.epochs, prepend=0))
+    sums = np.add.reduceat(log.true_labels == log.pred_labels, starts, dtype=np.int64)
     counts = np.diff(np.append(starts, len(log)))
-    return MetricSeries(epochs=epochs, values=100.0 * sums / counts)
+    return MetricSeries(epochs=log.epochs[starts], values=100.0 * sums / counts)
 
 
 def baseline(s: "LabelSpace") -> float:

@@ -1,10 +1,12 @@
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from hierkit import manifold
 from hierkit.collapse import ClassifierHead, NCReport
 from hierkit.hierarchy import DistanceMatrix
 from hierkit.io import (DMAT_MAGIC, FEATURES_MAGIC, HEAD_MAGIC, read_distance_matrix,
@@ -97,7 +99,40 @@ class TestFeaturesBinary:
             read_features(path)
 
 
+    def test_non_finite_before_label_range(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(FEATURES_MAGIC + np.array([1, 1, 1], dtype="<u8").tobytes()
+                         + np.array([5], dtype="<u4").tobytes()
+                         + np.array([np.inf], dtype="<f4").tobytes())
+        with pytest.raises(ValueError, match=r"^.*bad\.bin: feature vectors contain "
+                                             r"non-finite values$"):
+            read_features(path)
+
+    def test_read_has_no_bool_copy_of_the_vectors(self, tmp_path, monkeypatch):
+        """One finiteness pass, in row blocks: the read holds the vectors and
+        labels it returns, the uint32 labels it read, and one small block."""
+        monkeypatch.setattr(manifold, "_block_rows", lambda width: 64, raising=False)
+        f = _feature_set(n=20_000, p=128, c=10)
+        path = tmp_path / "f.bin"
+        write_features(f, path)
+        tracemalloc.start()
+        try:
+            read_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = f.vectors.nbytes + 12 * len(f)  # float32 vectors, uint32 and int64 labels
+        assert peak < held + 64 * 128 + 2**16
+
+
 class TestFeaturesCsv:
+    def test_non_finite_before_negative_label(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("label,f0\n-1,nan\n")
+        with pytest.raises(ValueError, match=r"^.*bad\.csv: feature vectors contain "
+                                             r"non-finite values$"):
+            read_features(path)
+
     def test_round_trip_exact_float32(self, tmp_path):
         f = _feature_set(seed=3)
         path = tmp_path / "f.csv"

@@ -71,6 +71,16 @@ class TestAccuracySeries:
         assert list(a.epochs) == [1, 2]
         assert list(a.values) == [50.0, 100.0]
 
+    def test_ungrouped_epochs_with_gaps(self):
+        rng = np.random.default_rng(16)
+        epochs = rng.choice([2, 5, 9, 40], size=500)
+        true, pred = rng.integers(0, 3, 500), rng.integers(0, 3, 500)
+        a = accuracy_series(_log(epochs, true, pred, 3))
+        assert a.epochs.tolist() == [2, 5, 9, 40]
+        hits = true == pred
+        assert a.values.tolist() == [100.0 * float(hits[epochs == e].sum()) / (epochs == e).sum()
+                                     for e in (2, 5, 9, 40)]
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             accuracy_series(_log([], [], [], 1))

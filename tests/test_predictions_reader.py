@@ -8,6 +8,7 @@ the loop alone gives: the same arrays or the same error text.
 """
 
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hierkit import io
 from hierkit.cli import run
 from hierkit.io import read_predictions
 from hierkit.labelspace import write_labelspace
+from hierkit.metrics import PredictionLog
 
 ROOT = Path(__file__).resolve().parents[1]
 HEADER = b"epoch,example_id,true_label,pred_label\n"
@@ -290,3 +292,121 @@ def test_invalid_utf8_in_hierarchy_via_cli(tmp_path, capsys):
     assert run(["labelspace", "build", "--hierarchy", str(edges), "--classes", str(classes),
                 "--groups", str(groups), "--out", str(tmp_path / "out")]) == 1
     assert f"error: {edges}:3: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ chunked reads
+
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    """Reads of 5 bytes: nearly every line is split across reads, most span several."""
+    monkeypatch.setattr(io, "_LOG_CHUNK_BYTES", 5)
+
+
+def test_canonical_logs_in_tiny_chunks(tmp_path_factory, tiny_chunks):
+    test_canonical_logs_take_the_fast_path(tmp_path_factory)
+
+
+def test_mutated_logs_in_tiny_chunks(tmp_path_factory, tiny_chunks):
+    test_mutated_logs_agree_with_the_loop(tmp_path_factory)
+
+
+@pytest.mark.parametrize("data", FALLBACKS.values(), ids=FALLBACKS.keys())
+def test_fallback_in_tiny_chunks(tmp_path, loop_calls, tiny_chunks, data):
+    test_fallback_reaches_the_loop(tmp_path, loop_calls, data)
+
+
+def _chunked_outcome(path, monkeypatch, chunk: int):
+    """The columnar reader's arrays with reads of ``chunk`` bytes, after checking
+    that read_predictions agrees with the loop."""
+    monkeypatch.setattr(io, "_LOG_CHUNK_BYTES", chunk)
+    _assert_paths_agree(path)
+    return io._columnar_predictions(path)
+
+
+@pytest.mark.parametrize("body, chunk", [
+    (b"1,a,0,0\n1,b,0,0\n", 12),                      # the 2nd line splits after "1,b,"
+    (b"1,a,0,0\n2,b,1,1\n3,c,2,2\n", 8),              # each read ends one line exactly
+    (b"1,%s,0,0\n2,b,1,1\n" % (b"x" * 50), 8),        # a line far longer than a read
+], ids=["line_split_across_reads", "reads_on_line_ends", "line_longer_than_a_read"])
+def test_lines_across_reads(tmp_path, monkeypatch, body, chunk):
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + body)
+    assert _chunked_outcome(path, monkeypatch, chunk) is not None
+
+
+def test_duplicate_in_different_reads(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + b"1,a,0,0\n1,b,0,0\n2,a,0,0\n1,a,1,1\n")
+    assert _chunked_outcome(path, monkeypatch, 8) is None
+    with pytest.raises(ValueError, match=r"p\.csv:5: duplicate \(epoch, example_id\) "
+                                         r"\(1, 'a'\), first seen at row 2"):
+        read_predictions(path)
+
+
+def test_id_width_from_the_longest_in_any_read(tmp_path, monkeypatch):
+    """Short ids first, then one past an 8-byte word: the dtype is <U12 and the
+    short ids, read into narrower padding, still compare as distinct."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + b"1,a,0,0\n1,b,1,1\n1,abcdefghijkl,2,2\n1,abcdefgh,3,3\n")
+    ids = _chunked_outcome(path, monkeypatch, 8)[1]
+    assert ids.dtype == np.dtype("<U12")
+    assert ids.tolist() == ["a", "b", "abcdefghijkl", "abcdefgh"]
+
+
+@pytest.mark.parametrize("data", [HEADER, HEADER + b"1,a,0,0\n1,b,0,0"],
+                         ids=["header_only", "no_final_newline"])
+def test_incomplete_logs_in_small_reads(tmp_path, monkeypatch, data):
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    assert _chunked_outcome(path, monkeypatch, 8) is None
+
+
+# ---------------------------------------------------- bounded memory
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_log(tmp_path_factory):
+    """200k records in the bench log's shape, 4 epochs of 50k ids `e0`... (<U6),
+    and the file they make."""
+    rng = np.random.default_rng(16)
+    ids = np.array([f"e{i}" for i in range(50_000)])
+    n = 4 * ids.size
+    log = PredictionLog(epochs=np.repeat(np.arange(1, 5), ids.size),
+                        example_ids=np.tile(ids, 4), true_labels=rng.integers(0, 1000, n),
+                        pred_labels=rng.integers(0, 1000, n), label_count=1000)
+    path = tmp_path_factory.mktemp("long") / "p.csv"
+    io.write_predictions(log, path)
+    return (log.epochs, log.example_ids, log.true_labels, log.pred_labels), path
+
+
+# Blocks and reads are shrunk far below the 200k-record log, so that one of
+# them is as small next to the log's arrays as it is on a full-size log.
+
+def test_log_write_in_bounded_memory(tmp_path, monkeypatch, long_log):
+    """The writer holds one block of formatted rows, not a list per column."""
+    monkeypatch.setattr(io, "_LOG_BLOCK_ROWS", 4096, raising=False)
+    columns, expected = long_log
+    log = PredictionLog(*columns, label_count=1000)
+    path = tmp_path / "p.csv"
+    _, peak = _traced_peak(lambda: io.write_predictions(log, path))
+    assert peak < 0.5 * sum(a.nbytes for a in columns)
+    assert path.read_bytes() == expected.read_bytes()
+
+
+def test_log_read_in_bounded_memory(monkeypatch, long_log):
+    """The columnar reader holds the arrays it returns and one read's columns."""
+    monkeypatch.setattr(io, "_LOG_CHUNK_BYTES", 1 << 16, raising=False)
+    columns, path = long_log
+    read, peak = _traced_peak(lambda: io._columnar_predictions(path))
+    assert peak < 1.5 * sum(a.nbytes for a in read)
+    for x, y in zip(read, columns):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
