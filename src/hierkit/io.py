@@ -393,12 +393,12 @@ def _columnar_predictions(path):
     if tail or not chunks:  # no final newline, or no records
         return None
     n = sum(len(chunk[0]) for chunk in chunks)
-    w = max(1, max(chunk[4] for chunk in chunks))
+    w = max(1, max(chunk[3].shape[1] for chunk in chunks))
     epochs, true, pred = (np.empty(n, dtype=np.int64) for _ in range(3))
     padded = np.zeros((n, -(-w // 8) * 8), dtype=np.uint8)
     lo = 0
     while chunks:
-        e, t, p, ids, _ = chunks.popleft()
+        e, t, p, ids = chunks.popleft()
         hi = lo + len(e)
         epochs[lo:hi], true[lo:hi], pred[lo:hi] = e, t, p
         padded[lo:hi, :ids.shape[1]] = ids
@@ -419,11 +419,8 @@ def _columnar_predictions(path):
 
 
 def _canonical_lines(b: np.ndarray):
-    """(epochs, true, pred, padded ids, longest id) of the whole lines ``b``, else None.
-
-    The ids are NUL-padded bytes, one row per line, as wide as the longest id
-    (at least 1) rounded up to 8 bytes.
-    """
+    """(epochs, true, pred, ids) of the whole lines ``b``, else None; the ids
+    are NUL-padded bytes, one row per line, as wide as the longest id."""
     ends = np.flatnonzero(b == ord("\n"))
     # bytes outside 0x20-0x7E wrap past 0x5E; the line ends must be the only ones
     if np.count_nonzero(b - np.uint8(0x20) > 0x5E) != ends.size:
@@ -442,12 +439,11 @@ def _canonical_lines(b: np.ndarray):
     if epochs is None or true is None or pred is None or epochs.min() < 1:
         return None
     lo, width = commas[:, 0] + 1, commas[:, 1] - commas[:, 0] - 1
-    longest = int(width.max())
-    padded = np.zeros((n, -(-max(1, longest) // 8) * 8), dtype=np.uint8)
-    for j in range(longest):
+    padded = np.zeros((n, int(width.max())), dtype=np.uint8)
+    for j in range(padded.shape[1]):
         live = width > j
         padded[live, j] = b[lo[live] + j]
-    return epochs, true, pred, padded, longest
+    return epochs, true, pred, padded
 
 
 def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:

@@ -111,7 +111,7 @@ class TestFeaturesBinary:
     def test_read_has_no_bool_copy_of_the_vectors(self, tmp_path, monkeypatch):
         """One finiteness pass, in row blocks: the read holds the vectors and
         labels it returns, the uint32 labels it read, and one small block."""
-        monkeypatch.setattr(manifold, "_block_rows", lambda width: 64, raising=False)
+        monkeypatch.setattr(manifold, "_block_rows", lambda width: 64)
         f = _feature_set(n=20_000, p=128, c=10)
         path = tmp_path / "f.bin"
         write_features(f, path)

@@ -392,7 +392,7 @@ def long_log(tmp_path_factory):
 
 def test_log_write_in_bounded_memory(tmp_path, monkeypatch, long_log):
     """The writer holds one block of formatted rows, not a list per column."""
-    monkeypatch.setattr(io, "_LOG_BLOCK_ROWS", 4096, raising=False)
+    monkeypatch.setattr(io, "_LOG_BLOCK_ROWS", 4096)
     columns, expected = long_log
     log = PredictionLog(*columns, label_count=1000)
     path = tmp_path / "p.csv"
@@ -402,8 +402,9 @@ def test_log_write_in_bounded_memory(tmp_path, monkeypatch, long_log):
 
 
 def test_log_read_in_bounded_memory(monkeypatch, long_log):
-    """The columnar reader holds the arrays it returns and one read's columns."""
-    monkeypatch.setattr(io, "_LOG_CHUNK_BYTES", 1 << 16, raising=False)
+    """The columnar reader holds neither the whole file nor an object per
+    record: besides its arrays, only the compact columns parsed per read."""
+    monkeypatch.setattr(io, "_LOG_CHUNK_BYTES", 1 << 16)
     columns, path = long_log
     read, peak = _traced_peak(lambda: io._columnar_predictions(path))
     assert peak < 1.5 * sum(a.nbytes for a in read)
