@@ -3,9 +3,10 @@
 ``_sq_minima``, ``cdist`` of some rows against every ref reduced over groups of
 refs, is the one exact-distance call; ``min_sq_distances`` runs it on every row.
 ``GroupScreen`` (the grid cover's step indices and r_max) and ``nearest_refs``
-(the NCC readout) screen with one float64 GEMM per row block (``_screen_block``)
-under a proven error bound (``_screen_slack``).  Rows the bound settles take the
-screened answer; unsettled rows take their exact row from ``_sq_minima``.
+(the NCC readout) screen with one GEMM per row block (``_screen_block``) under a
+proven error bound (``_screen_slack``): in float64, except that ``nearest_refs``
+screens float32 rows in float32.  Rows the bound settles take the screened
+answer; unsettled rows take their exact row from ``_sq_minima``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,34 @@ def _sq_minima(x: np.ndarray, refs: np.ndarray, starts=None, out=None) -> np.nda
     last runs to the end) of float64 ``refs``.  Without ``starts`` each ref is
     its own group: the ``cdist`` block itself, with no reduced copy of it."""
     d = cdist(x.astype(np.float64, copy=False), refs, "sqeuclidean")
-    return d if starts is None else np.minimum.reduceat(d, starts, axis=1, out=out)
+    return d if starts is None else _group_minima(d, starts, out)
+
+
+def _group_minima(d: np.ndarray, starts: np.ndarray, out=None) -> np.ndarray:
+    """``np.minimum.reduceat(d, starts, axis=1, out=out)``: the same minima.
+
+    When the G groups all hold k columns, as the cover's support classes do, the
+    minima come from k - 1 ``np.minimum`` passes over the (rows, G, k) view of
+    ``d``, each folding in the next column of every group: at k = 5, a third of
+    the time of ``reduceat``.  A minimum is exact, so the bits can differ only in
+    which of +0.0 and -0.0, or of two nan of opposite sign, a group keeps; the
+    squared distances of finite features hold neither.  Groups of unequal size
+    take ``reduceat``.
+    """
+    n, g = d.shape[1], len(starts)
+    k = n // g if g else 0
+    if k == 0 or n != g * k or not np.array_equal(starts, np.arange(0, n, k)):
+        return np.minimum.reduceat(d, starts, axis=1, out=out)
+    view = d.reshape(len(d), g, k)
+    if out is None:
+        out = np.empty((len(d), g), dtype=d.dtype)
+    if k == 1:
+        out[...] = view[:, :, 0]
+    else:
+        np.minimum(view[:, :, 0], view[:, :, 1], out=out)
+    for j in range(2, k):
+        np.minimum(out, view[:, :, j], out=out)
+    return out
 
 
 def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -66,39 +94,74 @@ def _block_rows(width: int) -> int:
 
 
 def _screen_slack(xx: np.ndarray, rr_max: float, p: int) -> np.ndarray:
-    """E: a bound on |screen - cdist| for rows whose computed |x|^2 is ``xx``.
+    """E: a float64 bound on |screen - cdist| for rows whose computed |x|^2 is ``xx``.
 
-    Derivation (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
-    u = 2**-53, gamma_n = n*u / (1 - n*u).  For one pair let d = |x - r|^2 in exact
-    arithmetic and A = |x|^2 + |r|^2, so that d <= 2A and |x.r| <= A/2.  In any
-    summation order, with or without FMA:
+    Derivation (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+    The screen (:func:`_screen_block`) runs in the dtype of ``xx``, float64 or
+    float32, with unit roundoff u = 2**-53 or 2**-24; gamma_n = n*u / (1 - n*u).
+    It sees each float64 ref r as r~, r rounded to that dtype, and ``rr_max`` is
+    the largest |r~|^2 it computed.  cdist runs in float64 against r itself, so
+    its gamma'_n takes u' = 2**-53.  For one pair let d = |x - r|^2 and d~ =
+    |x - r~|^2 in exact arithmetic, A = |x|^2 + |r|^2 and A~ = |x|^2 + |r~|^2, so
+    that d <= 2A and |x.r~| <= A~/2.  In any summation order, with or without
+    FMA:
 
-    - the screen s = (|x|^2 - 2 x.r) + |r|^2 is built from the computed norms and
-      GEMM entry.  Each norm errs by at most gamma_p times itself and the dot
-      product by at most gamma_p * A/2 (doubling it is exact): 2 gamma_p A in all.
-      The two adds round values below 2A(1 + 2 gamma_p): at most
-      4u(1 + 2 gamma_p) A more.  So |s - d| <= 2 gamma_{p+2} A.
+    - the screen s = (|x|^2 - 2 x.r~) + |r~|^2 is built from the computed norms
+      and GEMM entry.  Each norm errs by at most gamma_p times itself and the dot
+      product by at most gamma_p * A~/2 (doubling it is exact): 2 gamma_p A~ in
+      all.  The two adds round values below 2A~(1 + 2 gamma_p): at most
+      4u(1 + 2 gamma_p) A~ more.  So |s - d~| <= 2 gamma_{p+2} A~.
     - cdist sums p rounded squares of rounded differences, all non-negative:
-      |c - d| <= gamma_{p+2} d <= 2 gamma_{p+2} A.
+      |c - d| <= gamma'_{p+2} d <= 2 gamma'_{p+2} A.
 
-    Hence |s - c| <= 4 gamma_{p+2} A.  E uses gamma_{p+4}: the two spare units
-    cover the computed norms falling short of A (relative gamma_p) and the
-    rounding of E and of the threshold min(s) + 2E, while p*p*u < 2**-6
-    (p < 10**7).  Gradual underflow adds at most 2**-1075 per product, 4p
-    products in all, which p * 2**-1070 covers.  Valid while 4 (xx + rr_max) is
-    finite, so that neither s nor c can overflow; E is inf on the other rows.
+    Float64 (r~ = r, d~ = d, A~ = A, gamma' = gamma): |s - c| <= 4 gamma_{p+2} A.
+    E = 4 gamma_{p+4} (xx + rr_max) + p * 2**-1070.  The two spare units cover
+    the computed norms falling short of A (relative gamma_p) and the rounding of
+    E, while p*p*u < 2**-6 (p < 10**7).  Gradual underflow adds at most 2**-1075
+    per product, 4p products in all, which p * 2**-1070 covers.
+
+    Float32: r~ = r + e, |e_i| <= u |r_i|, or 2**-150 where r_i rounds to a
+    subnormal.  d~ - d = -2 (x - r).e + |e|^2, and 2 |x - r| u |r| <= 2u (|x| |r|
+    + |r|^2) <= 3uA; the subnormal part adds at most uA + p * 2**-275 (2ab <=
+    (u/2) a^2 + (2/u) b^2) and |e|^2 at most 2u^2 A + p * 2**-299.  So |d~ - d|
+    <= (4u + 2u^2) A + p * 2**-274, and 2 gamma'_{p+2} <= 2**-28 gamma_{p+2} < u.
+    The computed norms fall short by at most gamma_p and p * 2**-150 each, and
+    |r|^2 <= (1 + 4u) |r~|^2 + p * 2**-275, so A~ and A are at most (1 + 4u)(xx +
+    rr_max + p * 2**-149) / (1 - gamma_p) + p * 2**-275.  Hence
+
+        |s - c| <= (2 gamma_{p+2} + 5u)(1 + 4u)(xx + rr_max) / (1 - gamma_p)
+                   + 6p * 2**-149,
+
+    where 6p * 2**-149 also covers float32 underflow: at most 2**-150 per product
+    or FMA in each of the screen's three dot products, 2**-1075 in cdist.  While
+    gamma_{p+4} <= 1/4 (p < 3.3 * 10**6), 1/(1 - gamma_p) <= 4/3 and this is at
+    most ((8/3) gamma_{p+2} + 10u)(xx + rr_max) + 6p * 2**-149.  E = (4 gamma_{p+4}
+    + 4u)(xx + rr_max) + p * 2**-145 exceeds that by at least 6u (xx + rr_max),
+    as gamma_{p+4} >= gamma_{p+2} + 2u and gamma_{p+2} >= 3u: far more than the
+    rounding of E.  E is inf for larger p.
+
+    Both: valid while 4 (xx + rr_max) does not exceed the screen dtype's largest
+    value, so that no value the screen computes overflows (|r~|^2 overflowing
+    makes ``rr_max`` inf); E is inf on the other rows.
     """
-    g = (p + 4) * 2.0**-53 / (1 - (p + 4) * 2.0**-53)
+    f = np.finfo(xx.dtype)
+    u = float(f.eps) / 2
+    g = (p + 4) * u / (1 - (p + 4) * u)
+    # a float64 screen uses the float64 refs as they are; a float32 one rounds them
+    rounding = 4 * u if f.bits == 32 else 0.0
+    a = xx.astype(np.float64, copy=False) + rr_max
     with np.errstate(over="ignore"):
-        return np.where(np.isfinite(4 * (xx + rr_max)), 4 * g * (xx + rr_max) + p * 2.0**-1070,
+        bounded = (4 * a <= float(f.max)) & (g <= 0.25)
+        return np.where(bounded, (4 * g + rounding) * a + p * 16 * float(f.smallest_subnormal),
                         np.inf)
 
 
 def _screen_block(xb: np.ndarray, refs: np.ndarray,
                   rr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The screen of one float64 row block against float64 ``refs`` whose squared
-    norms are ``rr``: s = (|x|^2 - 2 x.r) + |r|^2 from one GEMM, and each row's
-    bound E (:func:`_screen_slack`) on |s - cdist|.  Callers silence overflow."""
+    """The screen of one row block against ``refs`` whose squared norms are
+    ``rr``, all of one dtype, float64 or float32: s = (|x|^2 - 2 x.r) + |r|^2 from
+    one GEMM in that dtype, and each row's float64 bound E (:func:`_screen_slack`)
+    on |s - cdist| against the float64 refs.  Callers silence overflow."""
     xx = np.einsum("ij,ij->i", xb, xb)
     s = xb @ refs.T
     s *= -2.0
@@ -113,7 +176,7 @@ class GroupScreen:
     needs of the exact minimum c[i, g] without computing it.
 
     One GEMM per row block of :func:`_block_rows` rows (:func:`_screen_block`)
-    and ``np.minimum.reduceat`` over the groups give the screened minima
+    and the minimum over each group (:func:`_group_minima`) give the screened minima
     ``minima[i, g]`` and each row's bound ``slack[i]`` = E.  Every screened value
     of a row is within E of its ``cdist`` value, so |minima - c| <= E as well,
     and c lies in [s - E, s + E].  Rounding to nearest is monotone, so the
@@ -133,7 +196,7 @@ class GroupScreen:
             for lo in range(0, len(x), rows):
                 s, self.slack[lo:lo + rows] = _screen_block(
                     x[lo:lo + rows].astype(np.float64, copy=False), self.refs, rr)
-                np.minimum.reduceat(s, starts, axis=1, out=self.minima[lo:lo + rows])
+                _group_minima(s, starts, out=self.minima[lo:lo + rows])
                 del s  # so that no two blocks are held at once
 
     def largest_minimum(self) -> float:
@@ -186,26 +249,34 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Index of the nearest row of ``refs`` for each row of ``x``.
 
     Bit for bit ``argmin(cdist(x, refs, "sqeuclidean"), axis=1)``: ties go to the
-    lower index.  Works in float64, in row blocks of :func:`_block_rows` of the
-    wider of the ref count (the screen) and the dimension (the float64 row copy);
-    the labels do not depend on the blocking.  A GEMM screen finds, per row, the
-    refs within twice the rounding bound E (:func:`_screen_slack`) of the row's
-    screened minimum; the cdist winner j is always among them, since s_j <= c_j +
-    E <= c_k + E <= s_k + 2E for every k.  A row with one such ref takes it.
+    lower index.  Works in row blocks of :func:`_block_rows` of the wider of the
+    ref count (the screen) and the dimension (a float64 row copy); the labels do
+    not depend on the blocking.  A GEMM screen finds, per row, the refs within
+    twice the rounding bound E (:func:`_screen_slack`) of the row's screened
+    minimum, a threshold rounded upward; the cdist winner j is always among them,
+    since s_j <= c_j + E <= c_k + E <= s_k + 2E for every k.  A row with one such
+    ref takes it.  Float32 rows screen in float32, against the refs rounded to
+    float32 once, with no float64 copy of the rows; other rows screen in float64.
     Unsettled rows, those with several and those too large for the bound, take
     their exact row: the ``argmin`` of its :func:`_sq_minima` row over every ref.
     """
     refs = refs.astype(np.float64, copy=False)
     if refs.shape[0] == 0:
         raise ValueError("nearest_refs needs at least one reference point")
-    rr = np.einsum("ij,ij->i", refs, refs)
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    f = np.finfo(dtype)
     labels = np.empty(len(x), dtype=np.intp)
     rows = _block_rows(max(refs.shape))
     with np.errstate(over="ignore", invalid="ignore"):
+        screen_refs = refs.astype(dtype, copy=False)
+        rr = np.einsum("ij,ij->i", screen_refs, screen_refs)
         for lo in range(0, len(x), rows):
-            s, slack = _screen_block(x[lo:lo + rows].astype(np.float64, copy=False), refs, rr)
+            s, slack = _screen_block(x[lo:lo + rows].astype(dtype, copy=False), screen_refs, rr)
             best = np.argmin(s, axis=1, out=labels[lo:lo + rows])
-            limit = s[np.arange(len(s)), best] + 2 * slack
+            # min(s) + 2E >= E > 0 in the screen's dtype; * (1 + eps) + the smallest
+            # subnormal moves it at least one float up, above the exact sum
+            limit = (s[np.arange(len(s)), best] + 2 * slack).astype(dtype, copy=False)
+            limit = limit * (1 + f.eps) + f.smallest_subnormal
             near = np.count_nonzero(s <= limit[:, None], axis=1)
             del s  # so that no two blocks are held at once
             unsettled = np.flatnonzero(np.isinf(slack) | (near > 1))

@@ -324,6 +324,34 @@ def _groups(n_refs, n_groups, seed):
     return np.r_[0, np.sort(rng.choice(np.arange(1, n_refs), n_groups - 1, replace=False))]
 
 
+def _squared_distance_like(rows, cols):
+    """Non-negative values with +0.0, inf and nan, as squared distances can hold."""
+    rng = np.random.default_rng(rows + cols)
+    d = rng.gamma(2.0, size=(rows, cols))
+    for value, share in ((0.0, 0.1), (np.inf, 0.05), (np.nan, 0.05)):
+        d[rng.random(d.shape) < share] = value
+    if rows:
+        d[0], d[-1] = np.inf, np.nan
+    return d
+
+
+@pytest.mark.parametrize("rows", [0, 1, 37])
+@pytest.mark.parametrize("starts", [
+    pytest.param(np.arange(0, 60, k), id=f"equal_{k}") for k in (1, 2, 5, 12, 60)] + [
+    pytest.param(np.arange(0, 60, 7), id="last_group_shorter"),
+    pytest.param(_groups(60, 9, 25), id="unequal"),
+])
+def test_group_minima_match_reduceat(starts, rows):
+    d = _squared_distance_like(rows, 60)
+    want = np.minimum.reduceat(d, starts, axis=1)
+    assert np.array_equal(kernels._group_minima(d, starts).view(np.uint64), want.view(np.uint64))
+    out = np.full((rows + 2, len(starts)), -1.0)
+    inner = out[1:-1]
+    assert kernels._group_minima(d, starts, out=inner) is inner
+    assert np.array_equal(inner.view(np.uint64), want.view(np.uint64))
+    assert (out[[0, -1]] == -1.0).all()
+
+
 def _lattice_screen_case():
     # Integer features: every squared distance is an integer, so the grids of
     # integers and of square roots of integers hold distances exactly.
@@ -554,9 +582,81 @@ def _offset_ties_case():
     return base + step / 2, refs
 
 
+def _float32_midpoint_ties_case():
+    # The ETF midpoints as float32 rows: multiples of 1/16, so still exact ties.
+    x, means = _etf_case()
+    return x.astype(np.float32), means
+
+
+def _float32_offset_ties_case():
+    # offset_ties at a scale float32 holds: integer bases near 1e3, steps of 1/8
+    # and midpoints of 1/16 are exact in float32, so cdist ties every row.
+    rng = np.random.default_rng(16)
+    base = np.round(1e3 + 300.0 * rng.random((40, 8)))
+    step = rng.integers(-8, 9, size=(40, 8)) / 8.0
+    refs = np.vstack([base, base + step])[rng.permutation(80)]
+    return (base + step / 2).astype(np.float32), refs
+
+
+def _float32_scale_case(scale):
+    # Rows and class means at one scale: from about 1e19 |x|^2 overflows float32
+    # (no bound), near 1e-20 it is subnormal and near 1e-30 it underflows to 0.
+    def case():
+        rng = np.random.default_rng(17)
+        y = np.arange(60) % 6
+        x = ((rng.standard_normal((6, 4))[y] + rng.standard_normal((60, 4))) * scale)
+        x = x.astype(np.float32)
+        return x, _class_means(x, y, 6)
+    return case
+
+
+def _float32_overflow_rows_case():
+    # Every third row near 1e19, so its float32 |x|^2 overflows, beside moderate
+    # rows in the same blocks.
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal((30, 4))
+    x[::3] *= 1e19
+    return x.astype(np.float32), rng.standard_normal((20, 4))
+
+
+def _float32_p1_case():
+    # p = 1: refs on a grid of 1/4 and off it, rows on a grid of 1/8 between them.
+    rng = np.random.default_rng(19)
+    refs = np.vstack([rng.integers(-40, 41, size=(30, 1)) / 4.0,
+                      rng.standard_normal((10, 1)) * 5.0])
+    return (rng.integers(-170, 171, size=(200, 1)) / 8.0).astype(np.float32), refs
+
+
+def _float32_merged_means_case():
+    # Means i and i + 20 differ in float64 but round to the same float32 row, so
+    # the screen ties them; cdist puts the float32 row itself nearer to i + 20,
+    # and the row one float below nearer to i.
+    rng = np.random.default_rng(20)
+    base = rng.standard_normal((20, 6)).astype(np.float32)
+    ulp = np.spacing(base).astype(np.float64)
+    refs = np.vstack([base - 0.2 * ulp, base + 0.1 * ulp])
+    return np.vstack([base, np.nextafter(base, -np.inf)]), refs
+
+
+def _float32_ref_overflow_case():
+    # One float64 ref beyond float32's range: its float32 |r~|^2 is inf, so no
+    # row has a bound.
+    rng = np.random.default_rng(21)
+    refs = rng.standard_normal((12, 5))
+    refs[7, 2] = 1e39
+    return rng.standard_normal((40, 5)).astype(np.float32), refs
+
+
+FLOAT32_CASES = {"float32_midpoint_ties": _float32_midpoint_ties_case,
+                 "float32_offset_ties": _float32_offset_ties_case,
+                 **{f"float32_scale_1e{e}": _float32_scale_case(10.0 ** e)
+                    for e in (-30, -20, 0, 19, 30)},
+                 "float32_overflow_rows": _float32_overflow_rows_case,
+                 "float32_ref_overflow": _float32_ref_overflow_case,
+                 "float32_p1": _float32_p1_case, "float32_merged_means": _float32_merged_means_case}
 NEAREST_CASES = {**CASES, "offset_ties": _offset_ties_case, "overflow_rows": _overflow_rows_case,
                  "overflow_ties": _overflow_ties_case, "desk": _desk_case,
-                 "float32_1000_classes": _float32_classes_case}
+                 "float32_1000_classes": _float32_classes_case, **FLOAT32_CASES}
 FINITE_CASES = sorted(set(NEAREST_CASES) - {"overflow_rows", "overflow_ties"})
 
 
@@ -638,6 +738,115 @@ def test_screen_slack_covers_the_observed_error(case):
     s, xx, rr = _screen(x, refs)
     slack = _screen_slack(xx, rr.max(), x.shape[1])
     assert (np.abs(s - cdist(x, refs, "sqeuclidean")) <= slack[:, None]).all()
+
+
+def _float32_derived_bound(xx, rr_max, p):
+    """The float32 bound on |screen - cdist| derived in _screen_slack's docstring."""
+    u = 2.0**-24
+    gamma = lambda n: n * u / (1 - n * u)  # noqa: E731
+    a = xx.astype(np.float64) + float(rr_max)
+    return (2 * gamma(p + 2) + 5 * u) * (1 + 4 * u) * a / (1 - gamma(p)) + 6 * p * 2.0**-149
+
+
+@pytest.mark.parametrize("p", [1, 2, 64, 512, 10**6])
+def test_float32_screen_slack_is_at_least_the_derived_bound(p):
+    xx, rr_max = np.array([0.0, 1.0, 3.5e7, 1e37], dtype=np.float32), np.float32(2.0)
+    slack = _screen_slack(xx, rr_max, p)
+    assert slack.dtype == np.float64
+    assert (slack >= _float32_derived_bound(xx, rr_max, p)).all()
+    # 4 (|x|^2 + max |r|^2) beyond float32, and p beyond the proof: no bound
+    assert np.isinf(_screen_slack(np.array([1e38], dtype=np.float32), rr_max, p)).all()
+    assert np.isinf(_screen_slack(xx, rr_max, 4 * 10**6)).all()
+
+
+def _float32_screen(x, refs):
+    """The float32 screen of _screen_block and its bound, for rows cast to float32."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, r = x.astype(np.float32), refs.astype(np.float32)
+        s, slack = _screen_block(x, r, np.einsum("ij,ij->i", r, r))
+    return x, s, slack
+
+
+FLOAT32_UNBOUNDED = {"float32_scale_1e19", "float32_scale_1e30", "float32_overflow_rows",
+                     "float32_ref_overflow"}
+
+
+@pytest.mark.parametrize("case", FINITE_CASES)
+def test_float32_screen_slack_covers_the_observed_error(case):
+    # Every case with its rows cast to float32, against cdist of those rows and
+    # the float64 refs; only where |x|^2 or |r~|^2 overflows float32 is there
+    # no bound.
+    x, refs = NEAREST_CASES[case]()
+    x, s, slack = _float32_screen(x, refs)
+    bounded = np.isfinite(slack)
+    assert bounded.all() or case in FLOAT32_UNBOUNDED
+    assert s.dtype == np.float32
+    err = np.abs(s[bounded].astype(np.float64) - cdist(x[bounded], refs, "sqeuclidean"))
+    assert (err <= slack[bounded, None]).all()
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(FLOAT32_CASES))
+def test_float32_nearest_refs_match_cdist_in_small_blocks(monkeypatch, case, block_rows):
+    x, refs = FLOAT32_CASES[case]()
+    monkeypatch.setattr(kernels, "_block_rows", lambda width: block_rows)
+    assert np.array_equal(nearest_refs(x, refs), np.argmin(cdist(x, refs, "sqeuclidean"), axis=1))
+
+
+@pytest.mark.parametrize("case", ["float32_merged_means", "float32_offset_ties",
+                                  "float32_scale_1e-30", "float32_scale_1e30"])
+def test_float32_hard_cases_need_the_refine(case):
+    # The float32 screen's own argmin is wrong on these rows; only the refine
+    # gives the cdist labels that test_nearest_refs_match_cdist checks.
+    x, refs = FLOAT32_CASES[case]()
+    _, s, _ = _float32_screen(x, refs)
+    assert not np.array_equal(np.argmin(s, axis=1),
+                              np.argmin(cdist(x, refs, "sqeuclidean"), axis=1))
+    if case == "float32_merged_means":
+        r32 = refs.astype(np.float32)
+        assert np.array_equal(r32[:20], r32[20:]) and not np.array_equal(refs[:20], refs[20:])
+
+
+def _screen_dtypes(monkeypatch, run):
+    """(row dtype, ref dtype) of every _screen_block call that ``run`` makes."""
+    seen = []
+
+    def recording(xb, refs, rr):
+        seen.append((xb.dtype, refs.dtype))
+        return _screen_block(xb, refs, rr)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_screen_block", recording)
+        run()
+    return set(seen)
+
+
+def test_only_float32_rows_screen_in_float32(monkeypatch):
+    # nearest_refs screens float32 rows in float32 and every other row in
+    # float64; GroupScreen, the cover, screens in float64 whatever the rows.
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    x, refs = _float32_classes_case()
+    assert _screen_dtypes(monkeypatch, lambda: nearest_refs(x, refs)) == {(f32, f32)}
+    for case in ("desk", "offset_ties"):
+        x, refs = NEAREST_CASES[case]()
+        assert _screen_dtypes(monkeypatch, lambda: nearest_refs(x, refs)) == {(f64, f64)}
+    x, refs, starts = _float32_screen_case()
+    assert _screen_dtypes(monkeypatch, lambda: GroupScreen(x, refs, starts)) == {(f64, f64)}
+
+
+def test_float32_screen_refines_few_rows(monkeypatch):
+    # None of the 9000 rows reach cdist under the derived bound; one 40 times
+    # looser sends more than 9 there.
+    x, refs = _float32_classes_case()
+    rows, exact = [], kernels._sq_minima
+
+    def recording(xa, *args, **kwargs):
+        rows.append(len(xa))
+        return exact(xa, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_sq_minima", recording)
+    nearest_refs(x, refs)
+    assert sum(rows) <= len(x) // 1000
 
 
 def test_nearest_refs_edge_shapes():
