@@ -98,28 +98,39 @@ def _cmd_labelspace_random(args, out: Path) -> None:
 # ---------------------------------------------------------------- metrics
 
 def _curve_spaces(args, log):
-    """(tag, space, projected log) for hyponym, named, and random spaces."""
+    """(tag, space, accuracy series) for the hyponym, named and random spaces.
+
+    The named projection comes first, so that a partition mismatch fails before
+    the hyponym space (one table entry per label of the log) is built, and the
+    usage errors come before any output.  A space's log is projected only when
+    its turn comes and dropped once its series is taken, so no two projected
+    logs are held at once.
+    """
     named = read_labelspace(args.labelspace) if args.labelspace else None
-    # projected first, so a partition mismatch fails before the hyponym space
-    # (one table entry per label of the log) is built
     projected = None if named is None else project_log(log, named)
-    entries = [("hyponym", hyponym_space(log.label_count), log)]
-    if named is not None:
-        entries.append((_safe_name(named.name), named, projected))
+    rand = None
     if getattr(args, "random_iso", False):
         if named is None:
             raise _UsageError("--random-iso requires --labelspace")
         if args.seed is None:
             raise _UsageError("--random-iso requires --seed")
         rand, _ = random_isomorphic(named, args.seed)
-        entries.append(("random", rand, project_log(log, rand)))
-    return entries
+
+    def series():
+        nonlocal projected
+        yield "hyponym", hyponym_space(log.label_count), accuracy_series(log)
+        if named is not None:
+            a = accuracy_series(projected)
+            projected = None
+            yield _safe_name(named.name), named, a
+        if rand is not None:
+            yield "random", rand, accuracy_series(project_log(log, rand))
+    return series()
 
 
 def _cmd_metrics_curves(args, out: Path) -> None:
     log = read_predictions(args.log)
-    for tag, space, plog in _curve_spaces(args, log):
-        a = accuracy_series(plog)
+    for tag, space, a in _curve_spaces(args, log):
         write_table(a, out / f"{tag}_accuracy.csv")
         write_table(relative_accuracy(a), out / f"{tag}_relative.csv")
         write_table(relative_gain(a, baseline(space)), out / f"{tag}_gain.csv")
@@ -128,8 +139,8 @@ def _cmd_metrics_curves(args, out: Path) -> None:
 
 def _cmd_metrics_converge(args, out: Path) -> None:
     log = read_predictions(args.log)
-    lines = [f"{tag},{convergence_epoch(accuracy_series(plog), args.fraction)}"
-             for tag, _, plog in _curve_spaces(args, log)]
+    lines = [f"{tag},{convergence_epoch(a, args.fraction)}"
+             for tag, _, a in _curve_spaces(args, log)]
     write_csv(out / "converge.csv", "space,epoch", lines)
 
 

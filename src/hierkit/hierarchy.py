@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .kernels import _block_rows
 
@@ -252,18 +250,63 @@ def graph_distance_matrix(h: Hierarchy, classes: Iterable[int] | None = None) ->
 
     index = {n: i for i, n in enumerate(h.nodes)}
     ends = np.array([(index[p], index[c]) for p, c in h.edges], dtype=np.intp).reshape(-1, 2)
-    adj = csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(len(index),) * 2)
+    # undirected adjacency lists: the neighbours of node i are nbrs[indptr[i]:indptr[i + 1]]
+    tails, heads = np.r_[ends[:, 0], ends[:, 1]], np.r_[ends[:, 1], ends[:, 0]]
+    nbrs = heads[np.argsort(tails, kind="stable")]
+    indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=len(index)))]
     nodes = np.array([index[h.class_index[cc]] for cc in labels], dtype=np.intp)
     values = np.empty((len(labels), len(labels)))
     chunk = _block_rows(len(index))  # rows of each dense (chunk, all nodes) hop block
     for lo in range(0, len(labels), chunk):
-        hops = shortest_path(adj, directed=False, unweighted=True, indices=nodes[lo:lo + chunk])
+        hops = _bfs_hops(indptr, nbrs, nodes[lo:lo + chunk])
         np.take(hops, nodes, axis=1, out=values[lo:lo + chunk], mode="clip")
     unreachable = np.argwhere(np.isinf(values))
     if unreachable.size:
         i, j = unreachable[0]
         raise ValueError(f"no path between class {labels[i]} and class {labels[j]}")
     return DistanceMatrix(labels=labels, values=values)
+
+
+def _bfs_hops(indptr: np.ndarray, nbrs: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """The (S, V) float64 hop counts from each of the S ``sources`` to every node
+    of the V-node graph with adjacency lists ``indptr``/``nbrs``; inf where
+    unreachable.
+
+    One breadth-first search per source, all S in step: the frontier holds the
+    (source, node) pairs first reached at the last level, as flat indices into
+    the hop block.  Each level gathers the neighbours of every frontier pair,
+    keeps those not yet reached and, of a pair reached twice, the one copy whose
+    tag survived its write.  Each pair enters the frontier once and expands its
+    node's list once, so the work is O(S * (V + E)) whatever the depth, plus a
+    few numpy calls per level.  The frontier expands in pieces that reach at
+    most :func:`_block_rows` of the largest degree neighbours each.
+    """
+    v = len(indptr) - 1
+    hops = np.full((len(sources), v), np.inf)
+    flat = hops.reshape(-1)
+    degree = np.diff(indptr)
+    piece = _block_rows(int(degree.max(initial=0)))
+    frontier = np.arange(len(sources)) * v + sources
+    flat[frontier] = 0.0
+    level = 0
+    while frontier.size:
+        level += 1
+        found = []
+        for lo in range(0, len(frontier), piece):
+            at = frontier[lo:lo + piece]
+            node = at % v
+            deg = degree[node]
+            # the positions of every pair's neighbours in nbrs, back to back
+            pos = np.arange(deg.sum()) + np.repeat(indptr[node] - (np.cumsum(deg) - deg), deg)
+            reached = np.repeat(at - node, deg) + nbrs[pos]
+            reached = reached[np.isinf(flat[reached])]
+            tag = -1.0 - np.arange(len(reached))
+            flat[reached] = tag
+            reached = reached[flat[reached] == tag]
+            flat[reached] = level
+            found.append(reached)
+        frontier = np.concatenate(found)
+    return hops
 
 
 def hypernym_of(h: Hierarchy, class_index: int, targets: Iterable[str]) -> str:

@@ -1,12 +1,13 @@
 """Exact nearest-distance kernels in feature space, and the one row-block rule.
 
-``_sq_minima``, ``cdist`` of some rows against every ref reduced over groups of
-refs, is the one exact-distance call; ``min_sq_distances`` runs it on every row.
-``GroupScreen`` (the grid cover's step indices and r_max) and ``nearest_refs``
-(the NCC readout) screen with one GEMM per row block (``_screen_block``) under a
-proven error bound (``_screen_slack``): in float64, except that ``nearest_refs``
-screens float32 rows in float32.  Rows the bound settles take the screened
-answer; unsettled rows take their exact row from ``_sq_minima``.
+``_sq_distances`` is the one exact squared-distance sum, and ``_sq_minima``, its
+rows reduced over groups of refs, the one exact-distance call;
+``min_sq_distances`` runs it on every row.  ``GroupScreen`` (the grid cover's
+step indices and r_max) and ``nearest_refs`` (the NCC readout) screen with one
+GEMM per row block (``_screen_block``) under a proven error bound
+(``_screen_slack``): in float64, except that ``nearest_refs`` screens float32
+rows in float32.  Rows the bound settles take the screened answer; unsettled
+rows take their exact row from ``_sq_minima``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = ["GroupScreen", "min_sq_distances", "nearest_refs"]
+
+# Rows per pass of the exact sum: its two (rows, refs) float64 buffers stay in
+# a core's L2 cache at 5,000 refs, and each of its ufunc calls is long enough
+# that the call overhead stays small.
+_EXACT_ROWS = 16
 
 
 def _usable_cpus() -> int:
@@ -27,12 +32,66 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _line_rows(rows: int, width: int) -> np.ndarray:
+    """An uninitialised float64 (rows, width) array each of whose rows starts on
+    a 64-byte cache line, so that no SIMD load or store of the exact sum
+    straddles two lines: where they do, its passes take about a quarter longer."""
+    stride = width + -width % 8
+    raw = np.empty(rows * stride + 7)
+    skip = -raw.ctypes.data % 64 // 8
+    return raw[skip:skip + rows * stride].reshape(rows, stride)[:, :width]
+
+
+def _transposed(refs: np.ndarray) -> np.ndarray:
+    """The float64 (p, n) transpose of ``refs``, each row contiguous: a view when
+    ``refs`` is already the ``.T`` of one, else a copy made 128 refs at a time,
+    which keeps the copy in cache (a third of the time of one transposing copy)."""
+    if refs.dtype == np.float64 and refs.strides[0] == refs.itemsize:
+        return refs.T
+    out = np.empty(refs.shape[::-1])
+    for lo in range(0, refs.shape[0], 128):
+        out[:, lo:lo + 128] = refs[lo:lo + 128].T
+    return out
+
+
+def _sq_distances(x: np.ndarray, refs_t: np.ndarray) -> np.ndarray:
+    """The (n, m) float64 squared Euclidean distances from the rows of ``x`` to
+    the m refs whose (p, m) transpose is ``refs_t`` (:func:`_transposed`).
+
+    Each distance is one float64 sum, from +0.0, over the dimensions in index
+    order, of the rounded square of the rounded difference: no FMA and no
+    reassociation, whatever the rows around it, so a pair gets the same bits in
+    any call.  It is what a compiled ``s += d * d`` loop gives when the
+    compiler does not contract it into an FMA.  The rows of ``x`` are cast to
+    float64 and summed ``_EXACT_ROWS`` at a time, against every ref, in two
+    cache-line aligned buffers (:func:`_line_rows`): three ufunc calls per
+    dimension, which release the GIL.  Overflow gives inf, and inf - inf nan,
+    without a warning.
+    """
+    out = np.empty((len(x), refs_t.shape[1]))
+    rows = min(len(x), _EXACT_ROWS)
+    acc, diff = _line_rows(rows, out.shape[1]), _line_rows(rows, out.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(x), _EXACT_ROWS):
+            xb = x[lo:lo + _EXACT_ROWS].astype(np.float64, copy=False)
+            a, d = acc[:len(xb)], diff[:len(xb)]
+            a.fill(0.0)
+            for j, r in enumerate(refs_t):
+                np.subtract(xb[:, j, None], r, out=d)
+                np.multiply(d, d, out=d)
+                np.add(a, d, out=a)
+            out[lo:lo + len(xb)] = a
+    return out
+
+
 def _sq_minima(x: np.ndarray, refs: np.ndarray, starts=None, out=None) -> np.ndarray:
     """The (n, G) float64 array whose [i, g] is the minimum squared Euclidean
     distance from x[i] to the non-empty group refs[starts[g]:starts[g + 1]] (the
     last runs to the end) of float64 ``refs``.  Without ``starts`` each ref is
-    its own group: the ``cdist`` block itself, with no reduced copy of it."""
-    d = cdist(x.astype(np.float64, copy=False), refs, "sqeuclidean")
+    its own group: the :func:`_sq_distances` block itself, with no reduced copy
+    of it.  Callers that run many blocks pass ``refs`` as the ``.T`` of its
+    transpose, so that no block copies it."""
+    d = _sq_distances(x, _transposed(refs))
     return d if starts is None else _group_minima(d, starts, out)
 
 
@@ -67,11 +126,12 @@ def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.
     """:func:`_sq_minima` of every row of ``x``.
 
     Row blocks run on one thread per usable CPU, never more threads than blocks.
-    ``cdist`` releases the GIL and each of its rows does not depend on the rest
-    of the call, so the result is bit for bit the serial one.  The blocks in
-    flight hold about 2**22 distances (32 MB) together.
+    :func:`_sq_distances` releases the GIL and each of its rows does not depend
+    on the rest of the call, so the result is bit for bit the serial one.  The
+    blocks in flight hold about 2**22 distances (32 MB) together; the refs are
+    transposed once for all of them.
     """
-    refs = refs.astype(np.float64, copy=False)
+    refs = _transposed(refs).T
     out = np.empty((x.shape[0], len(starts)))
     cpus = _usable_cpus()
     rows = max(1, _block_rows(refs.shape[0]) // cpus)
@@ -94,13 +154,14 @@ def _block_rows(width: int) -> int:
 
 
 def _screen_slack(xx: np.ndarray, rr_max: float, p: int) -> np.ndarray:
-    """E: a float64 bound on |screen - cdist| for rows whose computed |x|^2 is ``xx``.
+    """E: a float64 bound on |screen - c|, where c is the :func:`_sq_distances`
+    value, for rows whose computed |x|^2 is ``xx``.
 
     Derivation (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
     The screen (:func:`_screen_block`) runs in the dtype of ``xx``, float64 or
     float32, with unit roundoff u = 2**-53 or 2**-24; gamma_n = n*u / (1 - n*u).
     It sees each float64 ref r as r~, r rounded to that dtype, and ``rr_max`` is
-    the largest |r~|^2 it computed.  cdist runs in float64 against r itself, so
+    the largest |r~|^2 it computed.  c is summed in float64 against r itself, so
     its gamma'_n takes u' = 2**-53.  For one pair let d = |x - r|^2 and d~ =
     |x - r~|^2 in exact arithmetic, A = |x|^2 + |r|^2 and A~ = |x|^2 + |r~|^2, so
     that d <= 2A and |x.r~| <= A~/2.  In any summation order, with or without
@@ -111,7 +172,7 @@ def _screen_slack(xx: np.ndarray, rr_max: float, p: int) -> np.ndarray:
       product by at most gamma_p * A~/2 (doubling it is exact): 2 gamma_p A~ in
       all.  The two adds round values below 2A~(1 + 2 gamma_p): at most
       4u(1 + 2 gamma_p) A~ more.  So |s - d~| <= 2 gamma_{p+2} A~.
-    - cdist sums p rounded squares of rounded differences, all non-negative:
+    - c sums p rounded squares of rounded differences, all non-negative:
       |c - d| <= gamma'_{p+2} d <= 2 gamma'_{p+2} A.
 
     Float64 (r~ = r, d~ = d, A~ = A, gamma' = gamma): |s - c| <= 4 gamma_{p+2} A.
@@ -133,7 +194,7 @@ def _screen_slack(xx: np.ndarray, rr_max: float, p: int) -> np.ndarray:
                    + 6p * 2**-149,
 
     where 6p * 2**-149 also covers float32 underflow: at most 2**-150 per product
-    or FMA in each of the screen's three dot products, 2**-1075 in cdist.  While
+    or FMA in each of the screen's three dot products, 2**-1075 in c.  While
     gamma_{p+4} <= 1/4 (p < 3.3 * 10**6), 1/(1 - gamma_p) <= 4/3 and this is at
     most ((8/3) gamma_{p+2} + 10u)(xx + rr_max) + 6p * 2**-149.  E = (4 gamma_{p+4}
     + 4u)(xx + rr_max) + p * 2**-145 exceeds that by at least 6u (xx + rr_max),
@@ -161,7 +222,7 @@ def _screen_block(xb: np.ndarray, refs: np.ndarray,
     """The screen of one row block against ``refs`` whose squared norms are
     ``rr``, all of one dtype, float64 or float32: s = (|x|^2 - 2 x.r) + |r|^2 from
     one GEMM in that dtype, and each row's float64 bound E (:func:`_screen_slack`)
-    on |s - cdist| against the float64 refs.  Callers silence overflow."""
+    on |s - c| against the float64 refs.  Callers silence overflow."""
     xx = np.einsum("ij,ij->i", xb, xb)
     s = xb @ refs.T
     s *= -2.0
@@ -178,7 +239,7 @@ class GroupScreen:
     One GEMM per row block of :func:`_block_rows` rows (:func:`_screen_block`)
     and the minimum over each group (:func:`_group_minima`) give the screened minima
     ``minima[i, g]`` and each row's bound ``slack[i]`` = E.  Every screened value
-    of a row is within E of its ``cdist`` value, so |minima - c| <= E as well,
+    of a row is within E of its exact value, so |minima - c| <= E as well,
     and c lies in [s - E, s + E].  Rounding to nearest is monotone, so the
     computed ends still enclose c; each is moved one float further out with
     ``np.nextafter``, a margin beyond the proof, and the low end is clipped at 0.
@@ -248,12 +309,12 @@ class GroupScreen:
 def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """Index of the nearest row of ``refs`` for each row of ``x``.
 
-    Bit for bit ``argmin(cdist(x, refs, "sqeuclidean"), axis=1)``: ties go to the
-    lower index.  Works in row blocks of :func:`_block_rows` of the wider of the
-    ref count (the screen) and the dimension (a float64 row copy); the labels do
-    not depend on the blocking.  A GEMM screen finds, per row, the refs within
+    Bit for bit the ``argmin`` of each row of the exact distances
+    (:func:`_sq_distances`): ties go to the lower index.  Works in row blocks of
+    :func:`_block_rows` of the wider of the ref count (the screen) and the
+    dimension (a float64 row copy); the labels do not depend on the blocking.  A GEMM screen finds, per row, the refs within
     twice the rounding bound E (:func:`_screen_slack`) of the row's screened
-    minimum, a threshold rounded upward; the cdist winner j is always among them,
+    minimum, a threshold rounded upward; the exact winner j is always among them,
     since s_j <= c_j + E <= c_k + E <= s_k + 2E for every k.  A row with one such
     ref takes it.  Float32 rows screen in float32, against the refs rounded to
     float32 once, with no float64 copy of the rows; other rows screen in float64.

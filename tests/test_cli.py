@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from contextlib import redirect_stderr
 from io import StringIO
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hierkit
+import hierkit.cli as cli
 from hierkit.cli import run
 from hierkit.collapse import ClassifierHead
 from hierkit.io import read_features, read_predictions, write_features, write_head, write_table
@@ -153,6 +155,35 @@ class TestMetrics:
     def test_missing_log_is_data_error(self, tmp_path):
         assert run(["metrics", "curves", "--log", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("action", ["curves", "converge"])
+    def test_one_projected_log_at_a_time(self, spacefile, predfile, tmp_path, monkeypatch,
+                                         action):
+        # The named space's log is released before the random space's is projected.
+        live, held = [], []
+        project = cli.project_log
+
+        def spy(log, space):
+            held.append(sum(ref() is not None for ref in live))
+            projected = project(log, space)
+            live.append(weakref.ref(projected))
+            return projected
+
+        monkeypatch.setattr(cli, "project_log", spy)
+        assert run(["metrics", action, "--log", str(predfile), "--labelspace", str(spacefile),
+                    "--random-iso", "--seed", "5", "--out", str(tmp_path / "x")]) == 0
+        assert held == [0, 0]
+
+    @pytest.mark.parametrize("flags", [["--random-iso"], ["--random-iso", "--seed", "5"]])
+    def test_partition_mismatch_comes_first_and_writes_nothing(self, predfile, tmp_path, flags):
+        # A space over 4 classes for a 6-class log: a data error even where the
+        # --random-iso flags are a usage error, and before any output.
+        space = tmp_path / "four.tsv"
+        space.write_text("0\t0\n1\t0\n2\t1\n3\t1\n")
+        out = tmp_path / "x"
+        assert run(["metrics", "curves", "--log", str(predfile), "--labelspace", str(space),
+                    *flags, "--out", str(out)]) == 1
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestManifold:
@@ -760,6 +791,44 @@ def _child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+_NO_SCIPY_CHILD = """
+import json, sys
+from hierkit.cli import run
+for argv in json.loads(sys.argv[1]):
+    if run(argv) != 0:
+        sys.exit(f"exit status not 0: {argv}")
+sys.exit("scipy was imported" if "scipy" in sys.modules else 0)
+"""
+
+
+def test_cli_commands_never_import_scipy(tax, featdir, tmp_path):
+    # scipy is a test dependency only: one stray import would add about a third
+    # of a second and 33 MB to every command.
+    edges, classes, groups = tax
+    tree = ["--hierarchy", str(edges), "--classes", str(classes)]
+    space, log = tmp_path / "ls" / "hypernyms.tsv", tmp_path / "preds" / "predictions.csv"
+    feats, head = str(featdir / "features_e002.bin"), tmp_path / "head.bin"
+    write_head(ClassifierHead(weights=np.random.default_rng(0).standard_normal((6, 10)),
+                              bias=np.zeros(6)), head)
+    ccc = ["manifold", "ccc", "--features", feats, *tree, "--k", "2", "--seed", "0"]
+    argvs = [
+        ["labelspace", "build", *tree, "--groups", str(groups), "--out", str(space.parent)],
+        ["synth", "predictions", *tree, "--labelspace", str(space), "--epochs", "3",
+         "--examples", "60", "--accuracy", "linear:0.3:0.9", "--within", "0.5,0.5,0.5",
+         "--seed", "1", "--out", str(log.parent)],
+        ["metrics", "curves", "--log", str(log), "--labelspace", str(space), "--random-iso",
+         "--seed", "3", "--out", str(tmp_path / "curves")],
+        ccc + ["--out", str(tmp_path / "grid")],
+        ccc + ["--method", "exact", "--out", str(tmp_path / "exact")],
+        ["nc", "compute", "--features", feats, "--head", str(head), "--labelspace", str(space),
+         "--out", str(tmp_path / "nc")],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, json.dumps(argvs)],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "nc" / "nc_hypernyms.json").exists()
 
 
 @pytest.mark.parametrize("action", ["curves", "converge"])

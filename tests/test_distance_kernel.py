@@ -1,11 +1,14 @@
 """The blocked nearest-distance kernels against a direct, unblocked cdist.
 
-Both feature-space callers (mutual-cover minima and the nearest-class-centre
+hierkit's exact sum (``kernels._sq_distances``) must give cdist's bits, and
+both feature-space callers (mutual-cover minima and the nearest-class-centre
 readout) must match the reference bit for bit, including exact ties, which
 go to the lower index.  So must the cover's grid integral, computed once per
 step pattern, against the per-class loop that it replaced, and the screened
 step indices and r_max of the grid cover against those of the exact minima.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -58,28 +61,34 @@ CASES = {"etf_ties": _etf_case, "duplicates": _duplicates_case,
          "offset_gaussian": _offset_gaussian_case, "multi_block": _multi_block_case}
 
 
-def _cdist_rows(monkeypatch, workers, x, refs, starts):
-    """Row count of every cdist call that min_sq_distances makes with ``workers``."""
+def _recording_exact_sum(record):
+    """kernels._sq_distances, calling ``record(x, refs_t)`` first."""
+    exact = kernels._sq_distances
+
+    def recording(x, refs_t):
+        record(x, refs_t)
+        return exact(x, refs_t)
+    return recording
+
+
+def _exact_rows(monkeypatch, workers, x, refs, starts):
+    """Row count of every exact-sum call that min_sq_distances makes with ``workers``."""
     calls = []
-
-    def recording(xa, *args, **kwargs):
-        calls.append(len(xa))
-        return cdist(xa, *args, **kwargs)
-
     monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
-    monkeypatch.setattr(kernels, "cdist", recording)
+    monkeypatch.setattr(kernels, "_sq_distances",
+                        _recording_exact_sum(lambda xa, refs_t: calls.append(len(xa))))
     min_sq_distances(x, refs, starts)
     return calls
 
 
 def test_multi_block_case_spans_three_blocks(monkeypatch):
     x, refs = _multi_block_case()
-    calls = _cdist_rows(monkeypatch, 1, x, refs, np.arange(len(refs)))
+    calls = _exact_rows(monkeypatch, 1, x, refs, np.arange(len(refs)))
     offsets = list(np.cumsum([0] + calls[:-1]))
     assert offsets == [0, 64, 128]
     # w workers split the 2**22-distance budget, so about 2**22 are in flight
     for workers, rows in ((2, 32), (3, 21)):
-        calls = _cdist_rows(monkeypatch, workers, x, refs, np.arange(len(refs)))
+        calls = _exact_rows(monkeypatch, workers, x, refs, np.arange(len(refs)))
         assert rows == _block_rows(len(refs)) // workers
         assert sorted(calls, reverse=True) == [rows] * (len(x) // rows) + [len(x) % rows]
 
@@ -289,9 +298,9 @@ def test_cover_similarity_at_median_r_max_matches_the_loop(monkeypatch, grid_poi
 
 def test_grid_cover_runs_cdist_on_few_rows(monkeypatch):
     # Only the r_max candidate rows go through min_sq_distances, and only without
-    # an r_max; the exact method still runs cdist on every query row.
+    # an r_max; the exact method still runs the exact sum on every query row.
     query, support, mins = _cover_inputs([4] * 9)
-    calls = {"cdist": [], "min_sq_distances": []}
+    calls = {"_sq_distances": [], "min_sq_distances": []}
 
     def spy(name, func):
         def recording(xa, *args, **kwargs):
@@ -299,16 +308,16 @@ def test_grid_cover_runs_cdist_on_few_rows(monkeypatch):
             return func(xa, *args, **kwargs)
         monkeypatch.setattr(kernels, name, recording)
 
-    spy("cdist", cdist)
+    spy("_sq_distances", kernels._sq_distances)
     spy("min_sq_distances", min_sq_distances)
     for r_max, method in ((None, "grid"), (float(np.median(mins)), "grid"), (None, "exact")):
         for rows in calls.values():
             rows.clear()
         cover_similarity(query, support, CoverConfig(k=1, r_max=r_max, method=method))
         if method == "exact":
-            assert sum(calls["cdist"]) == len(query)
+            assert sum(calls["_sq_distances"]) == len(query)
             continue
-        assert sum(calls["cdist"]) < len(query)
+        assert sum(calls["_sq_distances"]) < len(query)
         if r_max is None:
             assert len(calls["min_sq_distances"]) == 1
             assert 1 <= calls["min_sq_distances"][0] < len(query)
@@ -475,14 +484,10 @@ def test_screened_steps_and_r_max_match_the_exact_minima(monkeypatch, case, bloc
 def test_hard_grids_reach_the_exact_fallback(monkeypatch):
     # The grids above put grid points inside screen intervals: the fallback runs.
     rows = []
-
-    def recording(xa, *args, **kwargs):
-        rows.append(len(xa))
-        return cdist(xa, *args, **kwargs)
-
     x, refs, starts = _zero_distance_case()
     grids = _hard_grids(x, refs, starts)
-    monkeypatch.setattr(kernels, "cdist", recording)
+    monkeypatch.setattr(kernels, "_sq_distances",
+                        _recording_exact_sum(lambda xa, refs_t: rows.append(len(xa))))
     for name in ("near_screen", "near_linspace_0", "on_distances"):
         rows.clear()
         _screened_steps(x, refs, starts, grids[name])
@@ -861,18 +866,15 @@ def test_nearest_refs_edge_shapes():
 
 def test_unsettled_rows_take_their_whole_exact_row(monkeypatch):
     # GroupScreen and nearest_refs settle what the screen cannot by the row, so
-    # every cdist call they make gets all the refs: no column subset is gathered.
+    # every exact-sum call they make gets all the refs: no column subset is gathered.
     calls = []
-
-    def recording(xa, xb, *args, **kwargs):
-        calls.append((case, len(xb)))
-        return cdist(xa, xb, *args, **kwargs)
+    recording = _recording_exact_sum(lambda xa, refs_t: calls.append((case, refs_t.shape[1])))
 
     for case in sorted(SCREEN_CASES):
         x, refs, starts = SCREEN_CASES[case]()
         grids = _hard_grids(x, refs, starts)  # runs the exact minima: not spied
         with monkeypatch.context() as m:
-            m.setattr(kernels, "cdist", recording)
+            m.setattr(kernels, "_sq_distances", recording)
             for grid in grids.values():
                 screen = GroupScreen(x, refs, starts)
                 screen.step_indices(grid, np.zeros((len(x), len(starts)), dtype=np.uint16))
@@ -880,7 +882,7 @@ def test_unsettled_rows_take_their_whole_exact_row(monkeypatch):
     for case in sorted(NEAREST_CASES):
         x, refs = NEAREST_CASES[case]()
         with monkeypatch.context() as m:
-            m.setattr(kernels, "cdist", recording)
+            m.setattr(kernels, "_sq_distances", recording)
             nearest_refs(x, refs)
         assert all(width == len(refs) for c, width in calls if c == case), case
     assert {"zero_distances", "near_overflow", "offset_ties", "overflow_rows",
@@ -899,3 +901,69 @@ def test_exact_cover_of_one_class_keeps_numpy_mean():
     sim = cover_similarity(query, support, CoverConfig(k=1, method="exact"))
     assert sim.r_max == float(mins.max())
     assert np.array_equal(sim.values, contrib.mean(axis=0, keepdims=True))
+
+
+# ------------------------------------------------- the exact sum against cdist
+
+def _scaled_case(p, scale):
+    # Near ties at one scale: rows at midpoints of two refs, moved by a few
+    # parts in 10**9, and rows drawn as the refs are.
+    def case():
+        rng = np.random.default_rng(p)
+        refs = rng.standard_normal((23, p)) * scale
+        mids = (refs[:6] + refs[6:12]) / 2
+        x = np.vstack([mids * (1 + 1e-9 * rng.standard_normal((6, p))), mids,
+                       rng.standard_normal((9, p)) * scale])
+        return x, refs
+    return case
+
+
+def _exact_sum_cases():
+    scaled = {f"p{p}_scale_1e{e}": _scaled_case(p, 10.0 ** e)
+              for p in (1, 2, 3, 64, 512) for e in (-150, -30, 0, 30, 150)}
+    screen = {f"screen_{name}": (lambda case=case: case()[:2])
+              for name, case in SCREEN_CASES.items()}
+    return {**NEAREST_CASES, **screen, **scaled}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+@pytest.mark.parametrize("case", sorted(_exact_sum_cases()))
+def test_exact_sum_is_cdist_bit_for_bit(monkeypatch, case, rows):
+    # float32 rows are cast to float64, as they were for cdist; the first 61
+    # rows make a short last pass at the default pass size.
+    x, refs = _exact_sum_cases()[case]()
+    x = x[:61]
+    if rows is not None:
+        monkeypatch.setattr(kernels, "_EXACT_ROWS", rows)
+    want = cdist(x.astype(np.float64), refs, "sqeuclidean")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels._sq_minima(x, refs)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_exact_sum_overflows_to_inf_without_a_warning():
+    # Squares and sums beyond float64, float32 rows near their largest value,
+    # and inf - inf, which gives nan as in cdist.
+    x = np.array([[1e200, 0.0], [1e155, 1e155], [1.0, 2.0], [np.inf, 0.0]])
+    refs = np.array([[-1e200, 0.0], [0.0, 0.0], [np.inf, 1.0]])
+    x32 = np.array([[3e38, -3e38], [1.0, 0.0]], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels._sq_minima(x, refs)
+        got32 = kernels._sq_minima(x32, refs[:2])
+    want = cdist(x, refs, "sqeuclidean")
+    assert np.isinf(got[:2]).all() and np.isinf(got[:3, 2]).all() and np.isnan(got[3, 2])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(got32, cdist(x32.astype(np.float64), refs[:2], "sqeuclidean"))
+    # float32 rows are squared in float64: 3e38 squares to 9e76, not inf
+    assert np.isinf(got32[0, 0]) and np.isfinite(got32[0, 1])
+
+
+def test_exact_sum_reuses_transposed_refs():
+    # The transpose of a transpose is taken as it is; any other refs are copied.
+    refs = np.random.default_rng(30).standard_normal((300, 7))
+    refs_t = kernels._transposed(refs)
+    assert refs_t.flags.c_contiguous and np.array_equal(refs_t, refs.T)
+    assert not np.shares_memory(refs_t, refs)
+    assert np.shares_memory(kernels._transposed(refs_t.T), refs_t)

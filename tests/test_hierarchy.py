@@ -1,5 +1,10 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 import hierkit.hierarchy as hierarchy
 from hierkit.hierarchy import (DistanceMatrix, graph_distance_matrix, hypernym_of,
@@ -246,3 +251,61 @@ class TestGraphDistancesReference:
                             ["0\ta", "1\tb", "2\tc", "3\td"])
         with pytest.raises(ValueError, match=r"^no path between class 2 and class 0$"):
             graph_distance_matrix(h, classes=[2, 3, 0, 1])
+
+
+@st.composite
+def _forests(draw):
+    """Edge and class lines of a random forest or DAG: node i hangs under an
+    earlier node or starts a tree, extra edges run from earlier to later nodes,
+    and a shuffled subset of the classes is asked for."""
+    n = draw(st.integers(1, 30))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)
+             if draw(st.integers(0, 5))]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    edges += [(a, b) for a, b in extra if a < b]
+    parents = {a for a, _ in edges}
+    leaves = draw(st.permutations([i for i in range(n) if i not in parents]))
+    classes = draw(st.permutations(range(len(leaves))))
+    asked = list(classes[:draw(st.integers(1, len(classes)))])
+    return ([f"n{a}\tn{b}" for a, b in edges], [f"{j}\tn{leaf}" for j, leaf in enumerate(leaves)],
+            asked, draw(st.sampled_from([None, 1, 2, 3])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forests())
+def test_graph_distances_match_shortest_path(forest):
+    # In source chunks and frontier pieces of 1 to 3 rows too; a disconnected
+    # pair raises naming the first such pair in row-major order.
+    edges, classes, asked, rows = forest
+    h = parse_hierarchy(edges, classes)
+    index = {n: i for i, n in enumerate(h.nodes)}
+    ends = np.array([(index[p], index[c]) for p, c in h.edges]).reshape(-1, 2)
+    adj = csr_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(len(index),) * 2)
+    nodes = [index[h.class_index[c]] for c in asked]
+    want = shortest_path(adj, directed=False, unweighted=True, indices=nodes)[:, nodes]
+    with pytest.MonkeyPatch.context() as m:
+        if rows is not None:
+            m.setattr(hierarchy, "_block_rows", lambda width: rows)
+        if np.isinf(want).any():
+            i, j = np.argwhere(np.isinf(want))[0]
+            with pytest.raises(ValueError, match=f"^no path between class {asked[i]} "
+                                                 f"and class {asked[j]}$"):
+                graph_distance_matrix(h, classes=asked)
+        else:
+            assert np.array_equal(graph_distance_matrix(h, classes=asked).values, want)
+
+
+def test_thousand_deep_chain_takes_under_a_second():
+    # a0 -> a1 -> ... -> a999 with a class leaf under each: 1000 sources, and
+    # searches 1000 levels deep.
+    depth = 1000
+    edges = [f"a{i}\ta{i + 1}" for i in range(depth - 1)] + [f"a{i}\tleaf{i}" for i in range(depth)]
+    h = parse_hierarchy(edges, [f"{i}\tleaf{i}" for i in range(depth)])
+    t0 = time.perf_counter()
+    d = graph_distance_matrix(h)
+    elapsed = time.perf_counter() - t0
+    i = np.arange(depth)
+    want = np.abs(i[:, None] - i[None]) + 2.0
+    np.fill_diagonal(want, 0.0)
+    assert np.array_equal(d.values, want)
+    assert elapsed < 1.0
