@@ -97,35 +97,27 @@ def _cmd_labelspace_random(args, out: Path) -> None:
 
 # ---------------------------------------------------------------- metrics
 
-def _curve_spaces(args, log):
+def _curve_spaces(args, log) -> list:
     """(tag, space, accuracy series) for the hyponym, named and random spaces.
 
     The named projection comes first, so that a partition mismatch fails before
     the hyponym space (one table entry per label of the log) is built, and the
-    usage errors come before any output.  A space's log is projected only when
-    its turn comes and dropped once its series is taken, so no two projected
-    logs are held at once.
+    usage errors come before any output.  Each projected log is dropped once its
+    series is taken, so no two projected logs are held at once.
     """
-    named = read_labelspace(args.labelspace) if args.labelspace else None
-    projected = None if named is None else project_log(log, named)
-    rand = None
+    curves = []
+    if args.labelspace:
+        named = read_labelspace(args.labelspace)
+        curves.append((_safe_name(named.name), named,
+                       accuracy_series(project_log(log, named))))
     if getattr(args, "random_iso", False):
-        if named is None:
+        if not args.labelspace:
             raise _UsageError("--random-iso requires --labelspace")
         if args.seed is None:
             raise _UsageError("--random-iso requires --seed")
         rand, _ = random_isomorphic(named, args.seed)
-
-    def series():
-        nonlocal projected
-        yield "hyponym", hyponym_space(log.label_count), accuracy_series(log)
-        if named is not None:
-            a = accuracy_series(projected)
-            projected = None
-            yield _safe_name(named.name), named, a
-        if rand is not None:
-            yield "random", rand, accuracy_series(project_log(log, rand))
-    return series()
+        curves.append(("random", rand, accuracy_series(project_log(log, rand))))
+    return [("hyponym", hyponym_space(log.label_count), accuracy_series(log)), *curves]
 
 
 def _cmd_metrics_curves(args, out: Path) -> None:
@@ -155,25 +147,22 @@ def _cmd_metrics_confusion(args, out: Path) -> None:
 
 # --------------------------------------------------------------- manifold
 
-def _cover_config(args) -> CoverConfig:
-    return CoverConfig(k=args.k, r_max=args.r_max, grid_points=args.grid_points,
-                       seed=args.seed, method=args.method)
+def _cover(args):
+    """The cover similarity of --features under the cover flags.  The flags are
+    checked before the feature file is read, and the feature set is never bound
+    to a name, so it is freed once it is split."""
+    cfg = CoverConfig(k=args.k, r_max=args.r_max, grid_points=args.grid_points,
+                      seed=args.seed, method=args.method)
+    return cover_similarity(*split_query_support(read_features(args.features), cfg), cfg)
 
 
 def _cmd_manifold_cover(args, out: Path) -> None:
-    f = read_features(args.features)
-    cfg = _cover_config(args)
-    query, support = split_query_support(f, cfg)
-    sim = cover_similarity(query, support, cfg)
-    write_table(sim, out / "cover.csv")
+    write_table(_cover(args), out / "cover.csv")
 
 
 def _cmd_manifold_ccc(args, out: Path) -> None:
-    f = read_features(args.features)
     h = parse_hierarchy(args.hierarchy, args.classes)
-    cfg = _cover_config(args)
-    query, support = split_query_support(f, cfg)
-    sim = cover_similarity(query, support, cfg)
+    sim = _cover(args)
     d_features = to_distance_matrix(sim)
     d_graph = graph_distance_matrix(h, classes=d_features.labels)
     value = ccc(d_features, d_graph)

@@ -248,7 +248,8 @@ class GroupScreen:
 
     def __init__(self, x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> None:
         self.x, self.starts = x, starts
-        self.refs = refs.astype(np.float64, copy=False)
+        # the .T of the transpose, so that no exact row of a refine copies the refs
+        self.refs = _transposed(refs).T
         rr = np.einsum("ij,ij->i", self.refs, self.refs)
         self.minima = np.empty((len(x), len(starts)))
         self.slack = np.empty(len(x))

@@ -181,12 +181,12 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
         raise ValueError("query and support label sets differ")
     order = np.argsort(support.labels, kind="stable")
     starts = np.searchsorted(support.labels[order], classes)
-    refs = support.vectors[order]
+    # passed, not named: the class-sorted support dies in the kernel's float64 copy
     if cfg.method == "exact":
-        mins = min_sq_distances(query.vectors, refs, starts)
+        mins = min_sq_distances(query.vectors, support.vectors[order], starts)
         np.sqrt(mins, out=mins)
     else:
-        screen = GroupScreen(query.vectors, refs, starts)
+        screen = GroupScreen(query.vectors, support.vectors[order], starts)
     r_max = cfg.r_max
     if r_max is None:
         r_max = float(mins.max() if cfg.method == "exact"

@@ -197,7 +197,7 @@ def gen_prediction_trajectory(h: Hierarchy, s: LabelSpace, epochs: int,
     pos_of = pos_in_group[true]
     ids = np.array([f"e{i}" for i in range(examples)])
 
-    ep_parts, id_parts, true_parts, pred_parts = [], [], [], []
+    preds = np.empty((epochs, examples), dtype=np.int64)  # one row per epoch
     singleton_fallback = False
     for t in range(1, epochs + 1):
         rng = substream(seed, t)
@@ -222,24 +222,17 @@ def gen_prediction_trajectory(h: Hierarchy, s: LabelSpace, epochs: int,
         if c > 1:
             pred = np.where(wants_within & can_within, pred_within, j_any)
         else:
-            pred = true.copy()
+            pred = true
         if (~correct & wants_within & ~can_within).any():
             singleton_fallback = True
-        pred = np.where(correct, true, pred)
-
-        ep_parts.append(np.full(examples, t, dtype=np.int64))
-        id_parts.append(ids)
-        true_parts.append(true)
-        pred_parts.append(pred)
+        preds[t - 1] = np.where(correct, true, pred)
 
     if singleton_fallback:
         warnings.warn("within-superclass error requested for a singleton superclass; "
                       "fell back to a uniform wrong label", stacklevel=2)
-    return PredictionLog(epochs=np.concatenate(ep_parts),
-                         example_ids=np.concatenate(id_parts),
-                         true_labels=np.concatenate(true_parts),
-                         pred_labels=np.concatenate(pred_parts),
-                         label_count=c)
+    return PredictionLog(epochs=np.repeat(np.arange(1, epochs + 1, dtype=np.int64), examples),
+                         example_ids=np.tile(ids, epochs), true_labels=np.tile(true, epochs),
+                         pred_labels=preds.ravel(), label_count=c)
 
 
 def mc_superclass_accuracy(p_h: float, sizes, trials: int, seed: int) -> tuple[float, float]:

@@ -221,6 +221,47 @@ class TestManifold:
         assert capsys.readouterr().out.startswith("ccc ")
 
 
+    @pytest.mark.parametrize("action", ["cover", "ccc"])
+    def test_features_freed_before_the_cover(self, tax, featdir, tmp_path, monkeypatch,
+                                             action):
+        # The feature set is split and dropped before the cover similarity runs.
+        live, held = [], []
+        read, cover = cli.read_features, cli.cover_similarity
+
+        def read_spy(path):
+            f = read(path)
+            live.extend((weakref.ref(f), weakref.ref(f.vectors)))
+            return f
+
+        def cover_spy(*args):
+            held.append(sum(ref() is not None for ref in live))
+            return cover(*args)
+
+        monkeypatch.setattr(cli, "read_features", read_spy)
+        monkeypatch.setattr(cli, "cover_similarity", cover_spy)
+        edges, classes, _ = tax
+        taxonomy = ["--hierarchy", str(edges), "--classes", str(classes)]
+        assert run(["manifold", action, "--features", str(featdir / "features_e002.bin"),
+                    *(taxonomy if action == "ccc" else []), "--k", "2", "--seed", "0",
+                    "--out", str(tmp_path / "x")]) == 0
+        assert len(live) == 2 and held == [0]
+
+    def test_taxonomy_fails_before_the_feature_file(self, tax, tmp_path, capsys):
+        # A malformed edge file is named even though the feature file is missing.
+        _, classes, _ = tax
+        edges = tmp_path / "bad_edges.tsv"
+        edges.write_text("root\tanimal\nroot animal\n")
+        assert run(["manifold", "ccc", "--features", str(tmp_path / "nope.bin"),
+                    "--hierarchy", str(edges), "--classes", str(classes), "--k", "2",
+                    "--seed", "0", "--out", str(tmp_path / "x")]) == 1
+        assert f"{edges}:2: expected 'parent<TAB>child'" in capsys.readouterr().err
+
+    def test_flags_fail_before_the_feature_file(self, tmp_path, capsys):
+        assert run(["manifold", "cover", "--features", str(tmp_path / "nope.bin"),
+                    "--k", "0", "--seed", "0", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == "error: k must be >= 1\n"
+
+
 class TestNc:
     def test_compute_both_spaces(self, featdir, spacefile, tmp_path):
         rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@ step indices and r_max of the grid cover against those of the exact minima.
 """
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -967,3 +968,55 @@ def test_exact_sum_reuses_transposed_refs():
     assert refs_t.flags.c_contiguous and np.array_equal(refs_t, refs.T)
     assert not np.shares_memory(refs_t, refs)
     assert np.shares_memory(kernels._transposed(refs_t.T), refs_t)
+
+
+
+def test_refines_reuse_the_screens_refs(monkeypatch):
+    # The screen transposes the refs once; every exact row after that, the r_max
+    # rows and the step-index refines, sums against that same array.
+    query, support, _ = _cover_inputs([4] * 9)
+    screens, transposes, refined = [], [], []
+    transposed = kernels._transposed
+
+    def spy(refs):
+        transposes.append(transposed(refs))
+        return transposes[-1]
+
+    class Spy(GroupScreen):
+        def __init__(self, *args):
+            super().__init__(*args)
+            screens.append(self)
+
+        def step_indices(self, grid, out):
+            before = len(transposes)
+            super().step_indices(grid, out)
+            refined.append(len(transposes) - before)
+
+    monkeypatch.setattr(kernels, "_transposed", spy)
+    monkeypatch.setattr(manifold, "GroupScreen", Spy)
+    cover_similarity(query, support, CoverConfig(k=1))
+    assert len(screens) == 1 and refined[0] >= 1 and len(transposes) > 2
+    assert all(np.shares_memory(t, screens[0].refs) for t in transposes[1:])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sorted_support_is_freed_once_screened(monkeypatch, dtype):
+    # cover_similarity keeps no name for the class-sorted support: the screen's
+    # float64 copy is all that is left of it when the step indices run.
+    rng = np.random.default_rng(31)
+    f = FeatureSet(rng.standard_normal((60, 8)).astype(dtype), np.arange(60) % 6, 6)
+    alive = []
+
+    class Spy(GroupScreen):
+        def __init__(self, x, refs, starts):
+            self.given = weakref.ref(refs)
+            super().__init__(x, refs, starts)
+
+        def step_indices(self, grid, out):
+            alive.append(self.given() is not None)
+            super().step_indices(grid, out)
+
+    monkeypatch.setattr(manifold, "GroupScreen", Spy)
+    cfg = CoverConfig(k=3, seed=0)
+    cover_similarity(*split_query_support(f, cfg), cfg)
+    assert alive == [False]

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hierkit.collapse import class_statistics, lift_to_superclass, nc1
-from hierkit.hierarchy import graph_distance_matrix
-from hierkit.labelspace import hyponym_space, project_log
+from hierkit.hierarchy import graph_distance_matrix, parse_hierarchy
+from hierkit.labelspace import (build_labelspace, hyponym_space, parse_grouping,
+                                project_log)
 from hierkit.manifold import (CoverConfig, ccc, cover_similarity,
                               split_query_support, to_distance_matrix)
 from hierkit.metrics import accuracy_series, confusion_matrix
@@ -11,6 +14,7 @@ from hierkit.synth import (TrajectoryParams, default_trajectory_params,
                            gen_etf, gen_hierarchical_trajectory,
                            gen_prediction_trajectory, mc_superclass_accuracy,
                            ncc_prediction_log, parse_trajectory_config)
+from hierkit.rng import substream
 
 from _helpers import balanced_hierarchy
 
@@ -198,6 +202,78 @@ class TestPredictionTrajectory:
             gen_prediction_trajectory(h, s, epochs=1, accuracy_schedule=acc,
                                       within_hypernym_error_fraction_schedule=within,
                                       examples=4, seed=0)
+
+
+
+def _sized_hierarchy(sizes):
+    """root -> g0..g{S-1} -> leaves, sizes[i] leaves under g{i}."""
+    edges, classes, grouping, ci = [], [], [], 0
+    for gi, size in enumerate(sizes):
+        edges.append(f"root\tg{gi}")
+        grouping.append(f"g{gi}\tg{gi}")
+        for _ in range(size):
+            edges.append(f"g{gi}\tn{ci}")
+            classes.append(f"{ci}\tn{ci}")
+            ci += 1
+    h = parse_hierarchy(edges, classes)
+    return h, build_labelspace(h, parse_grouping(grouping))[0]
+
+
+def _list_and_concatenate(s, epochs, acc, within, examples, seed):
+    """The four columns and the fallback flag, built as one part per epoch and
+    concatenated at the end: the construction gen_prediction_trajectory must match."""
+    c, table, group_sizes = s.class_count, s.table, s.sizes
+    flat_members = np.argsort(table, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(group_sizes)[:-1]])
+    pos_in_group = np.empty(c, dtype=np.int64)
+    pos_in_group[flat_members] = np.arange(c) - np.repeat(offsets, group_sizes)
+    true = np.arange(examples, dtype=np.int64) % c
+    size_of, off_of, pos_of = group_sizes[table[true]], offsets[table[true]], pos_in_group[true]
+    ids = np.array([f"e{i}" for i in range(examples)])
+    ep_parts, id_parts, true_parts, pred_parts = [], [], [], []
+    fallback = False
+    for t in range(1, epochs + 1):
+        rng = substream(seed, t)
+        u_correct, u_within, u_pick = (rng.random(examples) for _ in range(3))
+        j_any = np.minimum((u_pick * (c - 1)).astype(np.int64), c - 2) if c > 1 else \
+            np.zeros(examples, dtype=np.int64)
+        j_any = j_any + (j_any >= true)
+        j_in = np.minimum((u_pick * (size_of - 1)).astype(np.int64), np.maximum(size_of - 2, 0))
+        j_in = j_in + (j_in >= pos_of)
+        pred_within = flat_members[off_of + np.minimum(j_in, size_of - 1)]
+        correct = u_correct < acc[t - 1]
+        wants_within = u_within < within[t - 1]
+        can_within = size_of > 1
+        pred = np.where(wants_within & can_within, pred_within, j_any) if c > 1 else true.copy()
+        fallback |= bool((~correct & wants_within & ~can_within).any())
+        ep_parts.append(np.full(examples, t, dtype=np.int64))
+        id_parts.append(ids)
+        true_parts.append(true)
+        pred_parts.append(np.where(correct, true, pred))
+    return ([np.concatenate(parts) for parts in (ep_parts, id_parts, true_parts, pred_parts)],
+            fallback)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (2,), (1, 1), (1, 2, 3), (3, 3)])
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("examples", [1, 7])
+def test_prediction_trajectory_matches_per_epoch_parts(sizes, epochs, examples):
+    # Class 0 is a singleton where sizes[0] == 1, and epoch 1 has accuracy 0 and
+    # within 1, so such a hierarchy always falls back, and warns once.
+    h, s = _sized_hierarchy(sizes)
+    acc, within = np.linspace(0.0, 0.6, epochs), np.linspace(1.0, 0.4, epochs)
+    (epoch_col, ids, true, pred), fallback = _list_and_concatenate(
+        s, epochs, acc, within, examples, seed=11)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        log = gen_prediction_trajectory(h, s, epochs, acc, within, examples, seed=11)
+    assert fallback == (sizes[0] == 1)
+    assert [str(w.message) for w in caught] == (
+        ["within-superclass error requested for a singleton superclass; "
+         "fell back to a uniform wrong label"] if fallback else [])
+    for got, want in ((log.epochs, epoch_col), (log.example_ids, ids),
+                      (log.true_labels, true), (log.pred_labels, pred)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestMcOracle:
