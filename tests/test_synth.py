@@ -5,8 +5,7 @@ import pytest
 
 from hierkit.collapse import class_statistics, lift_to_superclass, nc1
 from hierkit.hierarchy import graph_distance_matrix, parse_hierarchy
-from hierkit.labelspace import (build_labelspace, hyponym_space, parse_grouping,
-                                project_log)
+from hierkit.labelspace import build_labelspace, parse_grouping, project_log
 from hierkit.manifold import (CoverConfig, ccc, cover_similarity,
                               split_query_support, to_distance_matrix)
 from hierkit.metrics import accuracy_series, confusion_matrix
