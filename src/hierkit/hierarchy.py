@@ -13,7 +13,7 @@ import os
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -94,6 +94,14 @@ def open_text(path):
         raise ValueError(_invalid_utf8(path)) from None
 
 
+def _built_from(path, build, **fields):
+    """``build(**fields)``, a type's refusal prefixed with the ``path`` it was read from."""
+    try:
+        return build(**fields)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _invalid_utf8(path) -> str:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -139,16 +147,9 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
         On malformed lines (with line numbers), cycles, class indices that
         are duplicated or gapped, or a class mapped to a non-leaf node.
     """
-    edge_list: list[tuple[str, str]] = []
-    seen_edges: set[tuple[str, str]] = set()
-    nodes: list[str] = []
-    node_set: set[str] = set()
-
-    def add_node(n: str) -> None:
-        if n not in node_set:
-            node_set.add(n)
-            nodes.append(n)
-
+    # insertion-ordered dicts used as ordered sets: first appearance wins
+    nodes: dict[str, None] = {}
+    edge_set: dict[tuple[str, str], None] = {}
     for name, lineno, line in iter_lines(edges, "<edges>"):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
@@ -156,13 +157,8 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
         parent, child = parts
         if parent == child:
             raise ValueError(f"{name}:{lineno}: cycle detected (self-edge on {parent!r})")
-        edge = (parent, child)
-        add_node(parent)
-        add_node(child)
-        if edge in seen_edges:
-            continue
-        seen_edges.add(edge)
-        edge_list.append(edge)
+        nodes[parent] = nodes[child] = None
+        edge_set[parent, child] = None
 
     class_map: dict[int, str] = {}
     class_nodes: set[str] = set()
@@ -183,7 +179,7 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
             raise ValueError(f"{name}:{lineno}: node {node!r} mapped to multiple class indices")
         class_map[idx] = node
         class_nodes.add(node)
-        add_node(node)
+        nodes[node] = None
 
     if not class_map:
         raise ValueError("class index file defines no classes")
@@ -194,7 +190,7 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
 
     children: dict[str, list[str]] = {n: [] for n in nodes}
     parents: dict[str, list[str]] = {n: [] for n in nodes}
-    for parent, child in edge_list:
+    for parent, child in edge_set:
         children[parent].append(child)
         parents[child].append(parent)
 
@@ -208,14 +204,14 @@ def parse_hierarchy(edges, classes) -> Hierarchy:
     is_tree = all(len(p) <= 1 for p in parents.values())
     return Hierarchy(
         nodes=tuple(nodes),
-        edges=tuple(edge_list),
+        edges=tuple(edge_set),
         class_index=class_map,
         is_tree=is_tree,
         parents=parents,
     )
 
 
-def _check_acyclic(nodes: list[str], children: dict[str, list[str]]) -> None:
+def _check_acyclic(nodes: Collection[str], children: dict[str, list[str]]) -> None:
     # Kahn's algorithm on the directed graph; leftovers are on a cycle.
     indeg = {n: 0 for n in nodes}
     for n in nodes:

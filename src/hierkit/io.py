@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .collapse import ClassifierHead, NCReport
-from .hierarchy import DistanceMatrix, open_text
+from .hierarchy import DistanceMatrix, _built_from, open_text
 from .manifold import _NON_FINITE, FeatureSet, SimilarityMatrix
 from .metrics import ConfusionMatrix, MetricSeries, PredictionLog
 
@@ -256,7 +256,7 @@ def read_distance_matrix(path) -> DistanceMatrix:
                 raise ValueError(f"{path}: matrix has no labels")
             values = _read_array(fh, (n, n), "<f8", "matrix", path)
             _no_trailing(fh, path)
-            return DistanceMatrix(labels=list(range(n)), values=values)
+            return _built_from(path, DistanceMatrix, labels=list(range(n)), values=values)
         if head in _KNOWN:
             _check_magic(head, DMAT_MAGIC, path)
     with open_text(path) as fh:
@@ -282,7 +282,7 @@ def read_distance_matrix(path) -> DistanceMatrix:
             rows.append(cells)
     if len(rows) != len(labels):
         raise ValueError(f"{path}: expected {len(labels)} rows, got {len(rows)}")
-    return DistanceMatrix(labels=labels, values=np.vstack(rows))
+    return _built_from(path, DistanceMatrix, labels=labels, values=np.vstack(rows))
 
 
 # ------------------------------------------------------------------- head
@@ -303,9 +303,7 @@ def read_head(path) -> ClassifierHead:
         weights = _read_array(fh, (c, p), "<f4", "weights", path)
         bias = _read_array(fh, (c,), "<f4", "bias", path)
         _no_trailing(fh, path)
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise ValueError(f"{path}: head contains non-finite values")
-        return ClassifierHead(weights=weights, bias=bias)
+    return _built_from(path, ClassifierHead, weights=weights, bias=bias)
 
 
 # ------------------------------------------------------------- predictions

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import Hierarchy, hypernym_of, iter_lines
+from .hierarchy import Hierarchy, _built_from, hypernym_of, iter_lines
 from .metrics import PredictionLog
 from .rng import substream
 
@@ -68,24 +68,22 @@ class LabelSpace:
 
 def parse_grouping(source) -> list[tuple[str, list[str]]]:
     """Parse a grouping file: one `superclass_name<TAB>node_id[,node_id...]` per line."""
-    groups: list[tuple[str, list[str]]] = []
-    seen: set[str] = set()
+    groups: dict[str, list[str]] = {}
     for name, lineno, line in iter_lines(source, "<grouping>"):
         parts = line.split("\t")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise ValueError(f"{name}:{lineno}: expected 'superclass_name<TAB>node_id[,...]', "
                              f"got {line!r}")
         gname = parts[0]
-        if gname in seen:
+        if gname in groups:
             raise ValueError(f"{name}:{lineno}: duplicate superclass name {gname!r}")
-        seen.add(gname)
         node_ids = [t.strip() for t in parts[1].split(",")]
         if any(not t for t in node_ids):
             raise ValueError(f"{name}:{lineno}: empty node id in group {gname!r}")
-        groups.append((gname, node_ids))
+        groups[gname] = node_ids
     if not groups:
         raise ValueError("grouping file defines no groups")
-    return groups
+    return list(groups.items())
 
 
 def build_labelspace(h: Hierarchy, groups, name: str = "hypernyms") -> tuple[LabelSpace, np.ndarray]:
@@ -95,8 +93,9 @@ def build_labelspace(h: Hierarchy, groups, name: str = "hypernyms") -> tuple[Lab
     :func:`parse_grouping`; group i becomes superclass i.  Returns the
     LabelSpace and its table.
 
-    Raises if a node is listed in two groups, a class reaches no group on the
-    walk to the root, or a group ends up with no classes.
+    Raises if a node is listed in two groups, the taxonomy is not a tree
+    (naming a node with two parents), a class reaches no group on the walk to
+    the root, or a group ends up with no classes.
     """
     node_to_group: dict[str, int] = {}
     for gi, (gname, node_ids) in enumerate(groups):
@@ -105,6 +104,9 @@ def build_labelspace(h: Hierarchy, groups, name: str = "hypernyms") -> tuple[Lab
                 raise ValueError(f"node {node!r} is listed in two groups")
             node_to_group[node] = gi
 
+    if not h.is_tree:
+        node, up = next((n, p) for n, p in h.parents.items() if len(p) > 1)
+        raise ValueError(f"grouping requires a tree: node {node!r} has parents {up}")
     c = h.class_count
     table = np.empty(c, dtype=np.int64)
     targets = set(node_to_group)
@@ -194,7 +196,4 @@ def read_labelspace(path) -> LabelSpace:
         raise ValueError(f"{path}: class indices are not contiguous from 0")
     table = np.array([pairs[ci] for ci in range(len(pairs))], dtype=np.int64)
     base = os.path.splitext(os.path.basename(str(path)))[0]
-    try:
-        return LabelSpace(name=base, table=table)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return _built_from(path, LabelSpace, name=base, table=table)

@@ -137,19 +137,18 @@ def split_query_support(f: FeatureSet, cfg: CoverConfig) -> tuple[FeatureSet, Fe
     Query and support index sets are disjoint per class.  Deterministic for
     a given cfg.seed.
     """
-    query_idx: list[np.ndarray] = []
-    support_idx: list[np.ndarray] = []
+    k = cfg.k
+    # one stable sort: each class's rows, ascending, are one slice of ``order``
+    order = np.argsort(f.labels, kind="stable")
+    starts = np.flatnonzero(np.diff(f.labels[order], prepend=-1))  # labels are >= 0
+    picked = np.empty((len(starts), 2 * k), dtype=np.intp)
     rng = substream(cfg.seed, 0)
-    for c in f.present_classes():
-        idx = np.flatnonzero(f.labels == c)
-        if idx.size < 2 * cfg.k:
-            raise ValueError(f"class {int(c)} has {idx.size} examples, "
-                             f"needs >= {2 * cfg.k} for k={cfg.k}")
-        chosen = idx[rng.permutation(idx.size)[:2 * cfg.k]]
-        query_idx.append(chosen[:cfg.k])
-        support_idx.append(chosen[cfg.k:])
-    q = np.concatenate(query_idx)
-    s = np.concatenate(support_idx)
+    for row, idx in zip(picked, np.split(order, starts[1:])):
+        if idx.size < 2 * k:
+            raise ValueError(f"class {int(f.labels[idx[0]])} has {idx.size} examples, "
+                             f"needs >= {2 * k} for k={k}")
+        row[:] = idx[rng.permutation(idx.size)[:2 * k]]
+    q, s = picked[:, :k].ravel(), picked[:, k:].ravel()
     query = FeatureSet(f.vectors[q], f.labels[q], f.class_count, epoch=f.epoch)
     support = FeatureSet(f.vectors[s], f.labels[s], f.class_count, epoch=f.epoch)
     return query, support

@@ -64,7 +64,7 @@ class PredictionLog:
             for name, arr in (("true", self.true_labels), ("pred", self.pred_labels)):
                 if arr.min() < 0 or arr.max() >= self.label_count:
                     raise ValueError(f"{name} labels out of range [0, {self.label_count})")
-            if np.any(np.diff(self.epochs) < 0):
+            if (self.epochs[1:] < self.epochs[:-1]).any():
                 order = np.argsort(self.epochs, kind="stable")
                 self.epochs = self.epochs[order]
                 self.example_ids = self.example_ids[order]
@@ -125,8 +125,9 @@ def accuracy_series(log: PredictionLog) -> MetricSeries:
     """A(t): percent of records with pred == true, per epoch."""
     if len(log) == 0:
         raise ValueError("cannot compute accuracy of an empty log")
-    # epochs are grouped and >= 1: each epoch starts where the value changes
-    starts = np.flatnonzero(np.diff(log.epochs, prepend=0))
+    # epochs are grouped: each epoch starts at row 0 or where the value changes
+    e = log.epochs
+    starts = np.r_[0, np.flatnonzero(e[1:] != e[:-1]) + 1]
     sums = np.add.reduceat(log.true_labels == log.pred_labels, starts, dtype=np.int64)
     counts = np.diff(np.append(starts, len(log)))
     return MetricSeries(epochs=log.epochs[starts], values=100.0 * sums / counts)

@@ -273,23 +273,16 @@ def ncc_prediction_log(feature_sets) -> PredictionLog:
     if not feature_sets:
         raise ValueError("need at least one feature set")
     c = feature_sets[0].class_count
-    ep_parts, id_parts, true_parts, pred_parts = [], [], [], []
-    ids: dict[int, np.ndarray] = {}
-    for i, f in enumerate(feature_sets):
-        if f.class_count != c:
-            raise ValueError("feature sets disagree on class_count")
-        epoch = f.epoch if f.epoch is not None else i + 1
-        pred = nearest_mean_labels(f)
-        ep_parts.append(np.full(len(f), int(epoch), dtype=np.int64))
-        if len(f) not in ids:
-            ids[len(f)] = np.array([f"e{j}" for j in range(len(f))])
-        id_parts.append(ids[len(f)])
-        true_parts.append(f.labels)
-        pred_parts.append(pred)
-    return PredictionLog(epochs=np.concatenate(ep_parts),
-                         example_ids=np.concatenate(id_parts),
-                         true_labels=np.concatenate(true_parts),
-                         pred_labels=np.concatenate(pred_parts),
+    if any(f.class_count != c for f in feature_sets):
+        raise ValueError("feature sets disagree on class_count")
+    sizes = [len(f) for f in feature_sets]
+    ids = np.array([f"e{j}" for j in range(max(sizes))])
+    pred = np.concatenate([nearest_mean_labels(f) for f in feature_sets])
+    epochs = [f.epoch if f.epoch is not None else i + 1 for i, f in enumerate(feature_sets)]
+    return PredictionLog(epochs=np.repeat(np.array(epochs, dtype=np.int64), sizes),
+                         example_ids=np.concatenate([ids[:n] for n in sizes]),
+                         true_labels=np.concatenate([f.labels for f in feature_sets]),
+                         pred_labels=pred,
                          label_count=c)
 
 
@@ -345,23 +338,19 @@ def parse_trajectory_config(source, seed: int | None = None) -> TrajectoryParams
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    def get_int(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise ValueError(f"config key {key!r} must be an integer, got {raw[key]!r}") from None
+    ints: dict[str, int] = {}  # only the keys given: the defaults live in one place
+    for key in ("epochs", "dimension", "examples_per_class", "seed"):
+        if key == "seed" and seed is not None:
+            ints[key] = int(seed)  # the file's seed is then not parsed
+        elif key in raw:
+            try:
+                ints[key] = int(raw[key])
+            except ValueError:
+                raise ValueError(f"config key {key!r} must be an integer, "
+                                 f"got {raw[key]!r}") from None
+    base = default_trajectory_params(**ints)
 
-    epochs = get_int("epochs", 40)
-    base = default_trajectory_params(
-        epochs=epochs,
-        dimension=get_int("dimension", 64),
-        examples_per_class=get_int("examples_per_class", 20),
-        seed=get_int("seed", 0) if seed is None else int(seed),
-    )
-
-    schedules = {key: parse_schedule(raw[key], epochs, f"config key {key!r}")
+    schedules = {key: parse_schedule(raw[key], base.epochs, f"config key {key!r}")
                  for key in ("hypernym_gap_schedule", "hyponym_gap_schedule",
                              "noise_schedule")
                  if key in raw}

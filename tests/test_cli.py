@@ -74,6 +74,17 @@ def featdir(tax, spacefile, tmp_path):
 
 
 class TestLabelspace:
+    def test_build_on_a_dag_names_the_node(self, tmp_path, capsys):
+        (tmp_path / "edges.tsv").write_text("r\ta\nr\tb\na\tx\nb\tx\nr\ty\n")
+        (tmp_path / "classes.tsv").write_text("0\tx\n1\ty\n")
+        (tmp_path / "groups.tsv").write_text("A\ta\nR\tr\n")
+        assert run(["labelspace", "build", "--hierarchy", str(tmp_path / "edges.tsv"),
+                    "--classes", str(tmp_path / "classes.tsv"),
+                    "--groups", str(tmp_path / "groups.tsv"),
+                    "--out", str(tmp_path / "ls")]) == 1
+        assert capsys.readouterr().err == (
+            "error: grouping requires a tree: node 'x' has parents ['a', 'b']\n")
+
     def test_build_writes_space_and_manifest(self, spacefile):
         space = read_labelspace(spacefile)
         assert sorted(space.sizes) == [3, 3]

@@ -36,6 +36,16 @@ class TestParse:
         h = parse_hierarchy(["root\ta", "root\ta", "root\tb"], ["0\ta", "1\tb"])
         assert h.edges == (("root", "a"), ("root", "b"))
 
+    def test_nodes_and_edges_keep_first_appearance(self):
+        # repeated edges keep their first place; a node seen only in the
+        # class file comes last
+        h = parse_hierarchy(["b\ty", "r\tb", "r\ta", "b\ty", "a\tx", "r\ta"],
+                            ["0\tx", "1\ty", "2\tz"])
+        assert h.nodes == ("b", "y", "r", "a", "x", "z")
+        assert h.edges == (("b", "y"), ("r", "b"), ("r", "a"), ("a", "x"))
+        assert h.parents == {"b": ["r"], "y": ["b"], "r": [], "a": ["r"], "x": ["a"],
+                             "z": []}
+
     def test_class_on_non_leaf_rejected(self):
         with pytest.raises(ValueError, match="non-leaf"):
             parse_hierarchy(["root\ta", "a\tb"], ["0\ta"])

@@ -269,6 +269,51 @@ class TestHeadIO:
             read_head(path)
 
 
+    @pytest.mark.parametrize("weights, bias", [([[np.nan, 1.0]], [0.0]),
+                                               ([[1.0, 2.0]], [np.inf])])
+    def test_non_finite_values_name_the_file(self, tmp_path, weights, bias):
+        path = tmp_path / "h.bin"
+        path.write_bytes(HEAD_MAGIC + np.array([1, 2], dtype="<u8").tobytes()
+                         + np.array(weights, dtype="<f4").tobytes()
+                         + np.array(bias, dtype="<f4").tobytes())
+        with pytest.raises(ValueError) as e:
+            read_head(path)
+        assert str(e.value) == f"{path}: head contains non-finite values"
+
+
+_MATRIX_REFUSALS = [
+    ("distance matrix is not symmetric", [[0.0, 1.0], [2.0, 0.0]]),
+    ("distance matrix has a non-zero diagonal", [[0.5, 1.0], [1.0, 0.0]]),
+    ("distance matrix has negative entries", [[0.0, -1.0], [-1.0, 0.0]]),
+    ("distance matrix has non-finite entries", [[0.0, np.nan], [np.nan, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("message, values", _MATRIX_REFUSALS)
+@pytest.mark.parametrize("binary", [False, True])
+def test_matrix_refusals_name_the_file(tmp_path, message, values, binary):
+    if binary:
+        path = tmp_path / "d.bin"
+        path.write_bytes(DMAT_MAGIC + np.array([2], dtype="<u8").tobytes()
+                         + np.array(values, dtype="<f8").tobytes())
+    else:
+        path = tmp_path / "d.csv"
+        path.write_text(",0,1\n" + "".join(f"{i},{a!r},{b!r}\n"
+                                          for i, (a, b) in enumerate(values)))
+    with pytest.raises(ValueError) as e:
+        read_distance_matrix(path)
+    assert str(e.value) == f"{path}: {message}"
+
+
+def test_duplicate_matrix_labels_name_the_file(tmp_path):
+    # the binary format stores no labels, so only a CSV can repeat one
+    path = tmp_path / "d.csv"
+    path.write_text(",0,0\n0,0,1\n0,1,0\n")
+    with pytest.raises(ValueError) as e:
+        read_distance_matrix(path)
+    assert str(e.value) == f"{path}: distance matrix labels contain duplicates"
+
+
 class TestPredictionsIO:
     def test_round_trip(self, tmp_path):
         log = _log()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hierkit.hierarchy import parse_hierarchy
 from hierkit.labelspace import (LabelSpace, build_labelspace, hyponym_space,
                                 parse_grouping, project_log, random_isomorphic,
                                 read_labelspace, write_labelspace)
@@ -91,6 +92,12 @@ class TestBuildLabelspace:
             build_labelspace(h, [("fauna", ["animal"]), ("flora", ["plant"]),
                                  ("ghost", ["missing_node"])])
 
+    def test_dag_names_a_node_with_two_parents(self):
+        h = parse_hierarchy(["r\ta", "r\tb", "a\tx", "b\tx", "r\ty"], ["0\tx", "1\ty"])
+        with pytest.raises(ValueError, match=r"^grouping requires a tree: node 'x' has "
+                                             r"parents \['a', 'b'\]$"):
+            build_labelspace(h, parse_grouping(["A\ta", "R\tr"]))
+
     def test_nearest_listed_ancestor_wins(self):
         h = animals_hierarchy()
         space, table = build_labelspace(
@@ -110,6 +117,15 @@ class TestParseGrouping:
     def test_duplicate_group_name(self):
         with pytest.raises(ValueError, match="duplicate superclass name"):
             parse_grouping(["a\tx", "a\ty"])
+
+    def test_groups_keep_file_order(self):
+        groups = parse_grouping(["z\tq", "a\tp", "m\tr, s"])
+        assert groups == [("z", ["q"]), ("a", ["p"]), ("m", ["r", "s"])]
+
+    def test_duplicate_group_name_names_its_line(self):
+        with pytest.raises(ValueError,
+                           match=r"^<grouping>:5: duplicate superclass name 'a'$"):
+            parse_grouping(["# groups", "a\tx", "", "b\ty", "a\tz"])
 
 
 class TestRandomIsomorphic:

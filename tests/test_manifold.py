@@ -7,6 +7,7 @@ from hierkit.hierarchy import DistanceMatrix
 from hierkit.manifold import (CoverConfig, FeatureSet, SimilarityMatrix, ccc,
                               cover_similarity, cover_stats,
                               split_query_support, to_distance_matrix)
+from hierkit.rng import substream
 
 
 def _pair(points_q, points_s, labels_q, labels_s, c):
@@ -78,6 +79,41 @@ class TestSplit:
     def test_too_few_examples_rejected(self):
         f = FeatureSet(np.zeros((3, 1)), np.array([0, 0, 0]), 1)
         with pytest.raises(ValueError, match="needs >= 4"):
+            split_query_support(f, CoverConfig(k=2, seed=0))
+
+    @staticmethod
+    def _per_class_scans(f, cfg):
+        """Query and support rows found by one full scan of the labels per class:
+        the construction split_query_support must match."""
+        query_idx, support_idx = [], []
+        rng = substream(cfg.seed, 0)
+        for c in f.present_classes():
+            idx = np.flatnonzero(f.labels == c)
+            chosen = idx[rng.permutation(idx.size)[:2 * cfg.k]]
+            query_idx.append(chosen[:cfg.k])
+            support_idx.append(chosen[cfg.k:])
+        return np.concatenate(query_idx), np.concatenate(support_idx)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_per_class_scans(self, seed, k):
+        # shuffled labels, unequal class sizes, one class of exactly 2k, absent classes
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat([0, 2, 3, 7], [6, 2 * k, 11, 9]))
+        f = FeatureSet(rng.standard_normal((len(labels), 3)).astype(np.float32), labels, 9,
+                       epoch=4)
+        cfg = CoverConfig(k=k, seed=seed)
+        q, s = split_query_support(f, cfg)
+        for got, idx in zip((q, s), self._per_class_scans(f, cfg)):
+            assert got.vectors.dtype == np.float32
+            assert np.array_equal(got.vectors, f.vectors[idx])
+            assert np.array_equal(got.labels, f.labels[idx])
+            assert (got.class_count, got.epoch) == (9, 4)
+
+    def test_first_short_class_is_named(self):
+        # classes 1 (3 rows) and 3 (2 rows) are both short of 2k = 4
+        f = FeatureSet(np.zeros((9, 1)), np.array([5, 3, 5, 1, 3, 5, 1, 1, 5]), 6)
+        with pytest.raises(ValueError, match=r"^class 1 has 3 examples, needs >= 4 for k=2$"):
             split_query_support(f, CoverConfig(k=2, seed=0))
 
 

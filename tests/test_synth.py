@@ -1,14 +1,16 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from hierkit.collapse import class_statistics, lift_to_superclass, nc1
+import hierkit.synth as synth
+from hierkit.collapse import class_statistics, lift_to_superclass, nc1, nearest_mean_labels
 from hierkit.hierarchy import graph_distance_matrix, parse_hierarchy
 from hierkit.labelspace import build_labelspace, parse_grouping, project_log
-from hierkit.manifold import (CoverConfig, ccc, cover_similarity,
+from hierkit.manifold import (CoverConfig, FeatureSet, ccc, cover_similarity,
                               split_query_support, to_distance_matrix)
-from hierkit.metrics import accuracy_series, confusion_matrix
+from hierkit.metrics import PredictionLog, accuracy_series, confusion_matrix
 from hierkit.synth import (TrajectoryParams, default_trajectory_params,
                            gen_etf, gen_hierarchical_trajectory,
                            gen_prediction_trajectory, mc_superclass_accuracy,
@@ -332,7 +334,60 @@ class TestNccPredictionLog:
         assert (hyper.values >= hypo.values).all()
 
 
+def _per_set_parts(feature_sets):
+    """The log of four columns built as one part per set, with one id array per
+    set length, and concatenated: the construction ncc_prediction_log must match."""
+    parts = []
+    for i, f in enumerate(feature_sets):
+        epoch = f.epoch if f.epoch is not None else i + 1
+        parts.append((np.full(len(f), int(epoch), dtype=np.int64),
+                      np.array([f"e{j}" for j in range(len(f))]),
+                      f.labels, nearest_mean_labels(f)))
+    epochs, ids, true, pred = (np.concatenate(column) for column in zip(*parts))
+    return PredictionLog(epochs, ids, true, pred, label_count=feature_sets[0].class_count)
+
+
+class TestNccUnequalSets:
+    @staticmethod
+    def _sets(sizes, epochs):
+        rng = np.random.default_rng(3)
+        return [FeatureSet(rng.standard_normal((n, 4)), np.arange(n) % 3, 3, epoch=e)
+                for n, e in zip(sizes, epochs)]
+
+    @pytest.mark.parametrize("sizes", [(5, 12, 3), (12, 5, 5), (4,)])
+    def test_matches_per_set_parts(self, sizes):
+        feature_sets = self._sets(sizes, [None, 7, None][:len(sizes)])
+        log, ref = ncc_prediction_log(feature_sets), _per_set_parts(feature_sets)
+        for column in ("epochs", "example_ids", "true_labels", "pred_labels"):
+            got, want = getattr(log, column), getattr(ref, column)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert log.label_count == ref.label_count
+
+    def test_class_count_checked_before_any_readout(self, monkeypatch):
+        feature_sets = self._sets((6, 6), (None, None))
+        feature_sets[1].class_count = 4
+
+        def refuse(f):
+            raise AssertionError("a readout ran")
+
+        monkeypatch.setattr(synth, "nearest_mean_labels", refuse)
+        with pytest.raises(ValueError, match="^feature sets disagree on class_count$"):
+            ncc_prediction_log(feature_sets)
+
+
 class TestParseConfig:
+    def test_empty_file_gives_the_defaults(self):
+        params, ref = parse_trajectory_config([]), default_trajectory_params()
+        for field in dataclasses.fields(ref):
+            got, want = getattr(params, field.name), getattr(ref, field.name)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype
+
+    def test_malformed_file_seed_ignored_under_override(self):
+        assert parse_trajectory_config(["seed=abc"], seed=5).seed == 5
+        with pytest.raises(ValueError, match="config key 'seed' must be an integer"):
+            parse_trajectory_config(["seed=abc"])
+
     def test_defaults_fill_missing_keys(self):
         params = parse_trajectory_config(["epochs=10"])
         ref = default_trajectory_params(epochs=10)
