@@ -4,23 +4,27 @@ Binary formats are little-endian with an 8-byte magic: `HBFEAT01` (features),
 `HBDMAT01` (square f64 matrix), `HBHEAD01` (classifier head).  Bulk payloads
 are 32-bit floats; distance matrices are 64-bit since correlation analysis
 is sensitive to rounding.  A path ending in `.csv` picks CSV, any other path
-binary.  Every CSV file is one dialect, written by `write_csv` and read by
-`_csv_rows`: UTF-8, `\\n` line ends, a header row, then rows with as many
-fields as the header; empty lines are skipped but keep their line numbers.
-Numbers are formatted locale-independently, so identical inputs give
-byte-identical files on any machine.  Readers validate strictly: wrong magic,
-truncated or trailing payload, invalid UTF-8, non-finite values and
-out-of-range labels are all errors, named by path and, in CSV, by line.
+binary.  Every CSV file is one dialect, written by `write_csv` or
+`_csv_lines` and read by `_csv_rows`: UTF-8, `\\n` line ends, a header row,
+then rows with as many fields as the header; empty lines are skipped but keep
+their line numbers.  Numbers are formatted locale-independently, so identical
+inputs give byte-identical files on any machine.  Readers validate strictly:
+wrong magic, truncated or trailing payload, invalid UTF-8, non-finite values
+and out-of-range labels are all errors, named by path and, in CSV, by line.
 
-Prediction logs have two readers.  A log in the canonical subset of the
-dialect -- the exact header, printable-ASCII lines each ended by `\\n` with
-three commas, epoch and labels of 1-18 ASCII digits, epochs >= 1, no duplicate
-(epoch, example_id) -- is parsed column-wise in numpy, in line-aligned chunks
-of about 4 MiB.  Any other file is read again from the start by the row loop,
-which alone reports errors and keeps `int()`'s leniency (`+5`, ` 5`, `1_0`,
-non-ASCII digits, `\\r\\n`, blank lines, no final newline).  The log writer
-formats blocks of 65,536 rows.  Neither it nor the columnar reader holds the
-whole file, or a Python object per record of the whole log, at once.
+Prediction logs and confusion tables are written by one formatter,
+`_csv_lines`, which puts a block of rows' digits, commas and id bytes into one
+uint8 matrix: the log in blocks of 65,536 rows, the table in blocks of as many
+rows as hold about as many cells.  Prediction logs have two readers.  A log in
+the canonical subset of the dialect -- the exact header, printable-ASCII lines
+each ended by `\\n` with three commas, epoch and labels of 1-18 ASCII digits,
+epochs >= 1, no duplicate (epoch, example_id) -- is parsed column-wise in
+numpy: a first pass counts its lines, then line-aligned chunks of about 4 MiB
+are parsed straight into the final columns.  Any other file is read again
+from the start by the row loop, which alone reports errors and keeps
+`int()`'s leniency (`+5`, ` 5`, `1_0`, non-ASCII digits, `\\r\\n`, blank lines,
+no final newline).  Neither the writers nor the columnar reader hold the whole
+file, or a Python object per record of the whole log, at once.
 """
 
 from __future__ import annotations
@@ -125,6 +129,49 @@ def write_csv(path, header, lines) -> None:
         fh.write(header + "\n")
         for line in lines:
             fh.write(line + "\n")
+
+
+def _write_blocks(path, header: str, blocks) -> None:
+    """Write ``header`` and a line end, then each of the byte strings ``blocks``."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        fh.writelines(blocks)
+
+
+def _csv_lines(*fields: np.ndarray) -> bytes:
+    """The CSV lines of a block of n rows as bytes: per row its entry of each
+    of ``fields``, comma-joined, then ``\\n``.
+
+    A field is an int64 column of values >= 0, an (n, k) int64 grid of k such
+    columns, or (n, w) uint8 bytes padded with NULs.  Every column gets a fixed
+    slot of one (n, W) uint8 matrix; a number's digits are placed right-aligned
+    by digit arithmetic and the places before its first digit stay 0.  No
+    digit, comma, line end or id byte is 0, so one compress drops the padding.
+    """
+    n = len(fields[0])
+    slots = [(f[:, None, :], f.shape[1]) if f.dtype == np.uint8 else
+             (f.reshape(n, -1), len(str(int(f.max())))) for f in fields]
+    m = np.zeros((n, sum(f.shape[1] * (w + 1) for f, w in slots)), dtype=np.uint8)
+    at = 0
+    for f, w in slots:
+        k = f.shape[1]
+        cell = m[:, at:at + k * (w + 1)].reshape(n, k, w + 1)  # a view: one slot per column
+        at += k * (w + 1)
+        cell[:, :, w] = ord(",")
+        if f.dtype == np.uint8:
+            cell[:, :, :w] = f
+            continue
+        digits = cell[:, :, w - 1::-1]  # the j-th digit from the right goes to digits[..., j]
+        q, d = np.divmod(f, 10)
+        digits[:, :, 0] = d + ord("0")
+        for j in range(1, w):
+            shown = q > 0  # the number has a j-th digit
+            q, d = np.divmod(q, 10)
+            d += ord("0")
+            d *= shown
+            digits[:, :, j] = d
+    m[:, -1] = ord("\n")
+    return m[m != 0].tobytes()
 
 
 def _csv_header(fh) -> list[str]:
@@ -310,7 +357,7 @@ def read_head(path) -> ClassifierHead:
 
 _PRED_HEADER = ["epoch", "example_id", "true_label", "pred_label"]
 _PRED_HEADER_LINE = (",".join(_PRED_HEADER) + "\n").encode()
-_LOG_BLOCK_ROWS = 65_536  # rows per formatted block of write_predictions
+_LOG_BLOCK_ROWS = 65_536  # rows per formatted block of a log; cells of a confusion table
 _LOG_CHUNK_BYTES = 1 << 22  # bytes per read of the columnar log reader
 
 
@@ -318,27 +365,35 @@ def write_predictions(log: PredictionLog, path) -> None:
     """Write a prediction log CSV; refuses ids that read_predictions would reject.
 
     The ids are checked before the file is opened.  The rows are then
-    formatted in blocks of ``_LOG_BLOCK_ROWS``, each one string handed to
-    :func:`write_csv`, so the writer holds one block's Python objects at a time.
+    formatted by :func:`_csv_lines` in blocks of ``_LOG_BLOCK_ROWS``, so the
+    writer holds one block's bytes at a time.  A block of ASCII ids reaches
+    it as its code points cast to bytes, any other block as its UTF-8 bytes.
     """
     ids = np.ascontiguousarray(log.example_ids.astype(str, copy=False))
     units = ids.view(np.uint32).reshape(len(ids), ids.itemsize // 4)
-    # np.strings.find cannot look for NUL: an id holds one where a zero code
-    # point has a non-zero one after it (trailing NULs are the dtype's padding)
-    nul = ((units[:, :-1] == 0) & (units[:, 1:] != 0)).any(axis=1)
-    bad = np.flatnonzero(nul | np.any([np.strings.find(ids, ch) >= 0 for ch in ",\n\r"], axis=0))
-    if bad.size:
-        raise ValueError(f"example_id {str(ids[bad[0]])!r} contains a comma, a line break "
-                         f"or a NUL")
+    for lo in range(0, len(ids), _LOG_BLOCK_ROWS):
+        u = units[lo:lo + _LOG_BLOCK_ROWS]
+        bad = (u == ord(",")) | (u == ord("\n")) | (u == ord("\r"))
+        # a zero code point before a non-zero one is a NUL in the id; trailing
+        # zeros are the dtype's padding
+        bad[:, :-1] |= (u[:, :-1] == 0) & (u[:, 1:] != 0)
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            raise ValueError(f"example_id {str(ids[lo + rows[0]])!r} contains a comma, "
+                             f"a line break or a NUL")
 
     def blocks():
         for lo in range(0, len(log), _LOG_BLOCK_ROWS):
             rows = slice(lo, lo + _LOG_BLOCK_ROWS)
-            columns = (log.epochs[rows].tolist(), log.example_ids[rows].tolist(),
-                       log.true_labels[rows].tolist(), log.pred_labels[rows].tolist())
-            yield "\n".join(f"{e},{x},{t},{p}" for e, x, t, p in zip(*columns))
+            if units[rows].max(initial=0) < 128:
+                text = units[rows].astype(np.uint8)  # ASCII code points are their bytes
+            else:
+                code = np.strings.encode(ids[rows], "utf-8")
+                text = code.view(np.uint8).reshape(len(code), code.itemsize)
+            yield _csv_lines(log.epochs[rows], text, log.true_labels[rows],
+                             log.pred_labels[rows])
 
-    write_csv(path, ",".join(_PRED_HEADER), blocks())
+    _write_blocks(path, ",".join(_PRED_HEADER), blocks())
 
 
 def read_predictions(path) -> PredictionLog:
@@ -350,12 +405,12 @@ def read_predictions(path) -> PredictionLog:
 
     A log in the canonical subset named in the module docstring, which is
     what :func:`write_predictions` gives for ASCII ids, is parsed column-wise
-    in numpy, one line-aligned chunk of about ``_LOG_CHUNK_BYTES`` at a time:
-    the read holds the arrays it returns, one chunk of the file, and the int64
-    columns and id bytes parsed from the chunks so far.  Any other file, every
-    malformed one included, is read again from the start by the row loop, the
-    only code that reports errors; the two give identical arrays wherever both
-    accept a file.
+    in numpy, one line-aligned chunk of about ``_LOG_CHUNK_BYTES`` at a time,
+    after a first pass has counted its lines: the read holds the arrays it
+    returns, one chunk of the file, and the id bytes parsed from the chunks so
+    far.  Any other file, every malformed one included, is read again from the
+    start by the row loop, the only code that reports errors; the two give
+    identical arrays wherever both accept a file.
     """
     columns = _columnar_predictions(path)
     if columns is None:
@@ -370,37 +425,47 @@ def _columnar_predictions(path):
 
     The subset is the one the module docstring names; 18 digits cannot
     overflow int64.  The ids get the dtype ``np.array`` gives the same strings.
-    The file is read in line-aligned chunks of about ``_LOG_CHUNK_BYTES``, each
-    checked and parsed alone; only the (epoch, example_id) duplicate check
-    runs over the whole log, once every chunk is in.
+    A first pass counts the file's line ends; only if each line can hold the
+    7 bytes of the shortest canonical one, `1,,0,0` and its end, are the three
+    int64 columns allocated, once.  The second pass reads line-aligned chunks
+    of about ``_LOG_CHUNK_BYTES``, checks each alone and parses its numbers
+    straight into the columns, so no per-chunk column is freed on the way.
+    Only the (epoch, example_id) duplicate check runs over the whole log, once
+    every chunk is in.
     """
-    chunks = deque()
+    chunks = deque()  # the NUL-padded id bytes of each chunk
     with open(path, "rb") as fh:
         if fh.read(len(_PRED_HEADER_LINE)) != _PRED_HEADER_LINE:
             return None
+        n = 0
+        while data := fh.read(_LOG_CHUNK_BYTES):
+            n += data.count(b"\n")
+        if not 0 < 7 * n <= fh.tell() - len(_PRED_HEADER_LINE):
+            return None
+        fh.seek(len(_PRED_HEADER_LINE))
+        epochs, true, pred = (np.empty(n, dtype=np.int64) for _ in range(3))
+        lo = 0
         tail = b""  # the partial last line of the previous read
         while data := fh.read(_LOG_CHUNK_BYTES):
             data = tail + data
             cut = data.rfind(b"\n") + 1
             tail = data[cut:]
             if cut:
-                chunk = _canonical_lines(np.frombuffer(data, dtype=np.uint8, count=cut))
-                if chunk is None:
+                ids = _canonical_lines(np.frombuffer(data, dtype=np.uint8, count=cut),
+                                       lo, epochs, true, pred)
+                if ids is None:
                     return None
-                chunks.append(chunk)
-    if tail or not chunks:  # no final newline, or no records
+                chunks.append(ids)
+                lo += len(ids)
+    if tail or lo != n:  # no final newline, or the file changed between the passes
         return None
-    n = sum(len(chunk[0]) for chunk in chunks)
-    w = max(1, max(chunk[3].shape[1] for chunk in chunks))
-    epochs, true, pred = (np.empty(n, dtype=np.int64) for _ in range(3))
+    w = max(1, max(ids.shape[1] for ids in chunks))
     padded = np.zeros((n, -(-w // 8) * 8), dtype=np.uint8)
     lo = 0
     while chunks:
-        e, t, p, ids = chunks.popleft()
-        hi = lo + len(e)
-        epochs[lo:hi], true[lo:hi], pred[lo:hi] = e, t, p
-        padded[lo:hi, :ids.shape[1]] = ids
-        lo = hi
+        ids = chunks.popleft()
+        padded[lo:lo + len(ids), :ids.shape[1]] = ids
+        lo += len(ids)
     # NUL-padded id bytes in 8-byte words: no id holds a NUL, so equal words
     # are equal ids
     words = padded.view(np.uint64)
@@ -416,49 +481,53 @@ def _columnar_predictions(path):
     return epochs, ids, true, pred
 
 
-def _canonical_lines(b: np.ndarray):
-    """(epochs, true, pred, ids) of the whole lines ``b``, else None; the ids
-    are NUL-padded bytes, one row per line, as wide as the longest id."""
+def _canonical_lines(b: np.ndarray, at: int, epochs, true, pred) -> Optional[np.ndarray]:
+    """The ids of the whole lines ``b`` as NUL-padded bytes, one row per line and
+    as wide as the longest id, with their numbers parsed into rows ``at``
+    onward of the columns ``epochs``, ``true`` and ``pred``; else None."""
     ends = np.flatnonzero(b == ord("\n"))
     # bytes outside 0x20-0x7E wrap past 0x5E; the line ends must be the only ones
     if np.count_nonzero(b - np.uint8(0x20) > 0x5E) != ends.size:
         return None
     n = ends.size
     commas = np.flatnonzero(b == ord(","))
-    if commas.size != 3 * n:
+    if commas.size != 3 * n or at + n > len(epochs):
         return None
     commas = commas.reshape(n, 3)
     starts = np.concatenate(([0], ends[:-1] + 1))
+    rows = slice(at, at + n)
     # 3n commas in all: epoch and pred fields at least 1 wide put the i-th
     # three inside line i, so every line has exactly 3
-    epochs = _digit_field(b, starts, commas[:, 0])
-    true = _digit_field(b, commas[:, 1] + 1, commas[:, 2])
-    pred = _digit_field(b, commas[:, 2] + 1, ends)
-    if epochs is None or true is None or pred is None or epochs.min() < 1:
+    if not (_digit_field(b, starts, commas[:, 0], epochs[rows])
+            and _digit_field(b, commas[:, 1] + 1, commas[:, 2], true[rows])
+            and _digit_field(b, commas[:, 2] + 1, ends, pred[rows])) \
+            or epochs[rows].min() < 1:
         return None
     lo, width = commas[:, 0] + 1, commas[:, 1] - commas[:, 0] - 1
     padded = np.zeros((n, int(width.max())), dtype=np.uint8)
     for j in range(padded.shape[1]):
         live = width > j
         padded[live, j] = b[lo[live] + j]
-    return epochs, true, pred, padded
+    return padded
 
 
-def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> Optional[np.ndarray]:
-    """int64 values of the fields ``b[lo:hi]``, or None unless each is 1-18 ASCII digits."""
+def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> bool:
+    """Whether each field ``b[lo:hi]`` is 1-18 ASCII digits; if so their values
+    are in ``out``."""
     width = hi - lo
     if width.min() < 1 or width.max() > 18:
-        return None
+        return False
     zero = np.uint8(ord("0"))  # a byte below "0" wraps past 9
-    value = (b[hi - 1] - zero).astype(np.int64)
-    if (value > 9).any():
-        return None
+    digit = b[hi - 1] - zero
+    if (digit > 9).any():
+        return False
+    out[:] = digit
     for k in range(1, int(width.max())):  # the k-th digit from the right
         digit = np.where(width > k, b[np.maximum(hi - 1 - k, 0)] - zero, 0)
         if (digit > 9).any():
-            return None
-        value += digit * np.int64(10**k)
-    return value
+            return False
+        out += digit * np.int64(10**k)
+    return True
 
 
 def _looped_predictions(path):
@@ -522,8 +591,11 @@ def write_table(obj, path) -> None:
     elif isinstance(obj, (DistanceMatrix, SimilarityMatrix)):
         write_distance_matrix(obj, path)
     elif isinstance(obj, ConfusionMatrix):
-        labels = range(len(obj.counts))
-        _write_labelled_rows(path, "," + ",".join(map(str, labels)), labels, obj.counts, str)
+        c = len(obj.counts)
+        step = max(1, _LOG_BLOCK_ROWS // max(c, 1))
+        _write_blocks(path, "," + ",".join(map(str, range(c))),
+                      (_csv_lines(np.arange(lo, min(lo + step, c)), obj.counts[lo:lo + step])
+                       for lo in range(0, c, step)))
     elif isinstance(obj, NCReport):
         payload = {"nc1": obj.nc1, "beta_mu": obj.beta_mu, "beta_w": obj.beta_w,
                    "alpha_mu": obj.alpha_mu, "alpha_w": obj.alpha_w, "nc3": obj.nc3,

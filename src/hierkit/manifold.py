@@ -175,6 +175,9 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
     over boolean means, for any class sizes, k and grid.  The reduction order
     (query order, then grid order) is fixed, so results are bit-reproducible.
     """
+    for name, f in (("query", query), ("support", support)):
+        if len(f) == 0:
+            raise ValueError(f"{name} set is empty")
     classes = query.present_classes()
     if not np.array_equal(classes, support.present_classes()):
         raise ValueError("query and support label sets differ")

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hierkit import manifold
 from hierkit.hierarchy import DistanceMatrix
 from hierkit.manifold import (CoverConfig, FeatureSet, SimilarityMatrix, ccc,
                               cover_similarity, cover_stats,
@@ -163,6 +164,23 @@ class TestCoverSimilarity:
         q, s = _pair([[0.0]], [[0.0]], [0], [1], 2)
         with pytest.raises(ValueError, match="label sets differ"):
             cover_similarity(q, s, CoverConfig(k=1, r_max=1.0))
+
+    @pytest.mark.parametrize("method", ["grid", "exact"])
+    @pytest.mark.parametrize("empty", ["query", "support"])
+    def test_empty_set_named_before_any_kernel(self, monkeypatch, method, empty):
+        """An empty set is refused by name, as the split of a set with no rows gives it."""
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(manifold, "min_sq_distances", kernel)
+        monkeypatch.setattr(manifold, "GroupScreen", kernel)
+        q, s = split_query_support(FeatureSet(np.zeros((0, 3)), np.zeros(0, int), 3),
+                                   CoverConfig(k=2))
+        other = FeatureSet(np.zeros((1, 3)), np.zeros(1, int), 3)
+        q, s = (q, other) if empty == "query" else (other, s)
+        for r_max in (None, 1.0):
+            with pytest.raises(ValueError, match=f"^{empty} set is empty$"):
+                cover_similarity(q, s, CoverConfig(k=2, r_max=r_max, method=method))
 
     def test_grid_matches_exact_within_resolution(self):
         rng = np.random.default_rng(5)
