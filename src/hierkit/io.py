@@ -19,12 +19,15 @@ rows as hold about as many cells.  Prediction logs have two readers.  A log in
 the canonical subset of the dialect -- the exact header, printable-ASCII lines
 each ended by `\\n` with three commas, epoch and labels of 1-18 ASCII digits,
 epochs >= 1, no duplicate (epoch, example_id) -- is parsed column-wise in
-numpy: a first pass counts its lines, then line-aligned chunks of about 4 MiB
-are parsed straight into the final columns.  Any other file is read again
-from the start by the row loop, which alone reports errors and keeps
-`int()`'s leniency (`+5`, ` 5`, `1_0`, non-ASCII digits, `\\r\\n`, blank lines,
-no final newline).  Neither the writers nor the columnar reader hold the whole
-file, or a Python object per record of the whole log, at once.
+numpy: a first pass counts its lines, then line-aligned chunks of about 1 MiB
+are parsed straight into the final columns.  For the duplicate check each
+(epoch, example_id) is hashed into one uint64 key and the keys are sorted
+once; a repeated key, a duplicate or a hash collision, sends the file to the
+row loop.  Any other file is read again from the start by the row loop, which
+alone reports errors and keeps `int()`'s leniency (`+5`, ` 5`, `1_0`,
+non-ASCII digits, `\\r\\n`, blank lines, no final newline).  Neither the
+writers nor the columnar reader hold the whole file, or a Python object per
+record of the whole log, at once.
 """
 
 from __future__ import annotations
@@ -358,7 +361,7 @@ def read_head(path) -> ClassifierHead:
 _PRED_HEADER = ["epoch", "example_id", "true_label", "pred_label"]
 _PRED_HEADER_LINE = (",".join(_PRED_HEADER) + "\n").encode()
 _LOG_BLOCK_ROWS = 65_536  # rows per formatted block of a log; cells of a confusion table
-_LOG_CHUNK_BYTES = 1 << 22  # bytes per read of the columnar log reader
+_LOG_CHUNK_BYTES = 1 << 20  # bytes per read of the columnar log reader
 
 
 def write_predictions(log: PredictionLog, path) -> None:
@@ -405,12 +408,14 @@ def read_predictions(path) -> PredictionLog:
 
     A log in the canonical subset named in the module docstring, which is
     what :func:`write_predictions` gives for ASCII ids, is parsed column-wise
-    in numpy, one line-aligned chunk of about ``_LOG_CHUNK_BYTES`` at a time,
-    after a first pass has counted its lines: the read holds the arrays it
-    returns, one chunk of the file, and the id bytes parsed from the chunks so
-    far.  Any other file, every malformed one included, is read again from the
-    start by the row loop, the only code that reports errors; the two give
-    identical arrays wherever both accept a file.
+    in numpy, one line-aligned chunk of about ``_LOG_CHUNK_BYTES`` (1 MiB) at
+    a time, after a first pass has counted its lines: the read holds the
+    arrays it returns, one chunk of the file, and the id bytes parsed from the
+    chunks so far.  Its duplicate check hashes each (epoch, example_id) into
+    one key and sorts the keys once; a repeated key goes to the row loop.  Any
+    other file, every malformed one included, is read again from the start by
+    the row loop, the only code that reports errors; the two give identical
+    arrays wherever both accept a file.
     """
     columns = _columnar_predictions(path)
     if columns is None:
@@ -431,7 +436,10 @@ def _columnar_predictions(path):
     of about ``_LOG_CHUNK_BYTES``, checks each alone and parses its numbers
     straight into the columns, so no per-chunk column is freed on the way.
     Only the (epoch, example_id) duplicate check runs over the whole log, once
-    every chunk is in.
+    every chunk is in: each pair is hashed into one uint64 key by :func:`_mix`,
+    and the keys are sorted once.  Equal pairs get equal keys, so a repeated
+    key sends the file to the row loop, which refuses a duplicate and reads a
+    log whose distinct pairs only collided.
     """
     chunks = deque()  # the NUL-padded id bytes of each chunk
     with open(path, "rb") as fh:
@@ -468,12 +476,13 @@ def _columnar_predictions(path):
         lo += len(ids)
     # NUL-padded id bytes in 8-byte words: no id holds a NUL, so equal words
     # are equal ids
-    words = padded.view(np.uint64)
-    order = np.lexsort((*words.T[::-1], epochs))
-    same = np.diff(epochs[order]) == 0
-    for col in words.T:
-        same &= np.diff(col[order]) == 0
-    if same.any():
+    key = epochs.astype(np.uint64)
+    _mix(key)
+    for word in padded.view(np.uint64).T:
+        key ^= word
+        _mix(key)
+    key.sort()
+    if (key[1:] == key[:-1]).any():  # a repeat, or a collision: the row loop decides
         return None
     ids = np.empty(n, dtype=f"U{w}")
     # ASCII bytes are their own code points
@@ -504,11 +513,19 @@ def _canonical_lines(b: np.ndarray, at: int, epochs, true, pred) -> Optional[np.
             or epochs[rows].min() < 1:
         return None
     lo, width = commas[:, 0] + 1, commas[:, 1] - commas[:, 0] - 1
-    padded = np.zeros((n, int(width.max())), dtype=np.uint8)
-    for j in range(padded.shape[1]):
-        live = width > j
-        padded[live, j] = b[lo[live] + j]
+    padded = np.empty((n, int(width.max())), dtype=np.uint8)
+    for j in range(padded.shape[1]):  # the j-th byte of each id, 0 past its end
+        padded[:, j] = b[np.minimum(lo + j, b.size - 1)] * (width > j)
     return padded
+
+
+def _mix(key: np.ndarray) -> None:
+    """Scramble the uint64 ``key`` in place with the splitmix64 finaliser."""
+    key ^= key >> 30
+    key *= np.uint64(0xBF58476D1CE4E5B9)
+    key ^= key >> 27
+    key *= np.uint64(0x94D049BB133111EB)
+    key ^= key >> 31
 
 
 def _digit_field(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> bool:

@@ -361,6 +361,54 @@ def test_incomplete_logs_in_small_reads(tmp_path, monkeypatch, data):
     assert _chunked_outcome(path, monkeypatch, 8) is None
 
 
+def test_shortest_id_ends_a_read(tmp_path, monkeypatch):
+    """Reads of 41 bytes end on a 1-byte id after a 26-byte one: the id gather
+    of that line runs past the end of the read's bytes."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + b"1,abcdefghijklmnopqrstuvwxyz,0,0\n1,a,0,0\n"
+                              b"2,abcdefghijklmnopqrstuvwxyz,1,1\n2,a,1,1\n")
+    assert _chunked_outcome(path, monkeypatch, 41)[1].tolist() == [
+        "abcdefghijklmnopqrstuvwxyz", "a", "abcdefghijklmnopqrstuvwxyz", "a"]
+
+
+# ------------------------------------------------- the duplicate check
+
+def test_key_collisions_reach_the_loop(tmp_path, monkeypatch, loop_calls):
+    """With every (epoch, id) hashed to one key, a log of distinct pairs looks
+    like one with repeats: it goes to the row loop, which reads it."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + b"1,a,0,0\n1,b,1,1\n2,a,2,2\n2,abcdefghijk,3,3\n")
+    expected = io._columnar_predictions(path)
+    monkeypatch.setattr(io, "_mix", lambda key: key.fill(7))
+    assert io._columnar_predictions(path) is None
+    log = read_predictions(path)
+    assert loop_calls == [path]
+    for x, y in zip((log.epochs, log.example_ids, log.true_labels, log.pred_labels), expected):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
+def test_duplicate_past_the_first_word(tmp_path):
+    """Ids of 9 bytes that share their first 8: only the second word tells the
+    repeat from the distinct id."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + b"1,abcdefghX,0,0\n1,abcdefghY,0,0\n1,abcdefghX,1,1\n")
+    assert io._columnar_predictions(path) is None
+    with pytest.raises(ValueError, match=r"p\.csv:4: duplicate \(epoch, example_id\) "
+                                         r"\(1, 'abcdefghX'\), first seen at row 2"):
+        read_predictions(path)
+
+
+def test_ids_repeated_across_epochs_skip_the_loop(tmp_path, loop_calls):
+    """The same 40 ids in each of 60 epochs: equal ids, distinct pairs."""
+    path = tmp_path / "p.csv"
+    path.write_bytes(HEADER + b"".join(b"%d,id-%d,%d,0\n" % (e, i, i)
+                                       for e in range(1, 61) for i in range(40)))
+    fast = _outcome(path, columnar=True)
+    assert loop_calls == []
+    _assert_same(fast, _outcome(path, columnar=False))
+
+
 # ---------------------------------------------------- bounded memory
 
 def _traced_peak(fn):
