@@ -30,8 +30,7 @@ from .manifold import (CoverConfig, FeatureSet, ccc, cover_similarity,
 from .metrics import (accuracy_series, baseline, confusion_matrix,
                       convergence_epoch, relative_accuracy, relative_gain,
                       residual_error, theoretical_superclass_accuracy)
-from .synth import (default_trajectory_params, gen_etf,
-                    gen_hierarchical_trajectory, gen_prediction_trajectory,
+from .synth import (gen_etf, gen_hierarchical_trajectory, gen_prediction_trajectory,
                     mc_superclass_accuracy, parse_schedule, parse_trajectory_config)
 
 __all__ = ["main", "run"]
@@ -61,10 +60,6 @@ def _manifest(args) -> dict:
                        for k, v in flags.items() if k in _INPUT_FLAGS},
             "options": {k: v for k, v in flags.items()
                         if k not in _INPUT_FLAGS and k not in _NOT_OPTIONS}}
-
-
-def _space_from_sizes(sizes) -> LabelSpace:
-    return LabelSpace(name="sizes", table=np.repeat(np.arange(len(sizes)), sizes))
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -110,7 +105,7 @@ def _curve_spaces(args, log) -> list:
         named = read_labelspace(args.labelspace)
         curves.append((_safe_name(named.name), named,
                        accuracy_series(project_log(log, named))))
-    if getattr(args, "random_iso", False):
+    if args.random_iso:
         if not args.labelspace:
             raise _UsageError("--random-iso requires --labelspace")
         if args.seed is None:
@@ -194,10 +189,7 @@ def _cmd_nc_compute(args, out: Path) -> None:
 def _cmd_synth_features(args, out: Path) -> None:
     h = parse_hierarchy(args.hierarchy, args.classes)
     space = read_labelspace(args.labelspace)
-    if args.config:
-        params = parse_trajectory_config(args.config, seed=args.seed)
-    else:
-        params = default_trajectory_params(seed=args.seed)
+    params = parse_trajectory_config(args.config or (), seed=args.seed)
     for f in gen_hierarchical_trajectory(h, space, params):
         write_features(f, out / f"features_e{f.epoch:03d}.bin")
 
@@ -226,7 +218,8 @@ def _cmd_synth_etf(args, out: Path) -> None:
 
 def _cmd_oracle_superclass_acc(args, out: Path) -> None:
     sizes = _parse_sizes(args.sizes)
-    analytic = theoretical_superclass_accuracy(args.p, _space_from_sizes(sizes))
+    space = LabelSpace(name="sizes", table=np.repeat(np.arange(len(sizes)), sizes))
+    analytic = theoretical_superclass_accuracy(args.p, space)
     estimate, stderr = mc_superclass_accuracy(args.p, sizes, args.trials, args.seed)
     print(f"analytic {analytic:.6f}")
     print(f"monte-carlo {estimate:.6f} (stderr {stderr:.6f}, {args.trials} trials)")
@@ -236,8 +229,10 @@ def _cmd_oracle_superclass_acc(args, out: Path) -> None:
 
 # ----------------------------------------------------------------- parser
 
-def _add_out(p: argparse.ArgumentParser) -> None:
+def _add_out(p: argparse.ArgumentParser, func) -> None:
+    """The --out flag, and ``func`` as the subcommand's handler."""
     p.add_argument("--out", default=".", help="output directory (default: .)")
+    p.set_defaults(func=func)
 
 
 def _add_cover_flags(p: argparse.ArgumentParser) -> None:
@@ -265,13 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", required=True, help="class list file (index<TAB>name)")
     p.add_argument("--groups", required=True, help="grouping file (one ancestor set per line)")
     p.add_argument("--name", default="hypernyms")
-    _add_out(p)
-    p.set_defaults(func=_cmd_labelspace_build)
+    _add_out(p, _cmd_labelspace_build)
     p = ls_sub.add_parser("random", help="size-isomorphic random control space")
     p.add_argument("--labelspace", required=True, help="label space TSV to mirror")
     p.add_argument("--seed", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_labelspace_random)
+    _add_out(p, _cmd_labelspace_random)
 
     me = groups.add_parser("metrics", help="accuracy-curve family from prediction logs")
     me_sub = me.add_subparsers(dest="action", required=True, metavar="action")
@@ -285,29 +278,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         if action == "converge":
             p.add_argument("--fraction", type=float, default=0.95)
-        _add_out(p)
-        p.set_defaults(func=func)
+        _add_out(p, func)
     p = me_sub.add_parser("confusion")
     p.add_argument("--log", required=True)
     p.add_argument("--labelspace", default=None)
     p.add_argument("--epoch", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_metrics_confusion)
+    _add_out(p, _cmd_metrics_confusion)
 
     ma = groups.add_parser("manifold", help="mutual-cover similarity and CCC")
     ma_sub = ma.add_subparsers(dest="action", required=True, metavar="action")
     p = ma_sub.add_parser("cover")
     p.add_argument("--features", required=True)
     _add_cover_flags(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_manifold_cover)
+    _add_out(p, _cmd_manifold_cover)
     p = ma_sub.add_parser("ccc")
     p.add_argument("--features", required=True)
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--classes", required=True)
     _add_cover_flags(p)
-    _add_out(p)
-    p.set_defaults(func=_cmd_manifold_ccc)
+    _add_out(p, _cmd_manifold_ccc)
 
     nc = groups.add_parser("nc", help="neural-collapse reports")
     nc_sub = nc.add_subparsers(dest="action", required=True, metavar="action")
@@ -316,8 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head", required=True)
     p.add_argument("--labelspace", default=None,
                    help="also report in this lifted superclass space")
-    _add_out(p)
-    p.set_defaults(func=_cmd_nc_compute)
+    _add_out(p, _cmd_nc_compute)
 
     sy = groups.add_parser("synth", help="synthetic data generators")
     sy_sub = sy.add_subparsers(dest="action", required=True, metavar="action")
@@ -327,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labelspace", required=True)
     p.add_argument("--config", default=None, help="key=value trajectory config")
     p.add_argument("--seed", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_synth_features)
+    _add_out(p, _cmd_synth_features)
     p = sy_sub.add_parser("predictions")
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--classes", required=True)
@@ -338,14 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accuracy", required=True, help="'linear:a:b' or comma list")
     p.add_argument("--within", required=True, help="'linear:a:b' or comma list")
     p.add_argument("--seed", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_synth_predictions)
+    _add_out(p, _cmd_synth_predictions)
     p = sy_sub.add_parser("etf")
     p.add_argument("--class-count", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--scale", type=float, default=1.0)
-    _add_out(p)
-    p.set_defaults(func=_cmd_synth_etf)
+    _add_out(p, _cmd_synth_etf)
 
     orc = groups.add_parser("oracle", help="closed-form and Monte-Carlo oracles")
     orc_sub = orc.add_subparsers(dest="action", required=True, metavar="action")
@@ -354,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", required=True, help="superclass sizes, comma-separated")
     p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    _add_out(p)
-    p.set_defaults(func=_cmd_oracle_superclass_acc)
+    _add_out(p, _cmd_oracle_superclass_acc)
 
     return parser
 

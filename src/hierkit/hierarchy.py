@@ -1,10 +1,10 @@
-"""Class taxonomies: parsing, shortest-path distances, and ancestor lookups.
+"""Class taxonomies: parsing and shortest-path distances.
 
 A hierarchy is a directed parent->child edge list over string node ids plus
 a map from contiguous class indices to leaf nodes.  Distances are unweighted
 shortest-path hop counts on the undirected graph (defined for DAGs too);
-leaf ordering and ancestor lookups walk parent links and therefore require a
-tree, i.e. at most one parent per node.
+building a label space walks parent links and therefore requires a tree,
+i.e. at most one parent per node.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "DistanceMatrix",
     "Hierarchy",
     "graph_distance_matrix",
-    "hypernym_of",
     "iter_lines",
     "open_text",
     "parse_hierarchy",
@@ -304,27 +303,3 @@ def _bfs_hops(indptr: np.ndarray, nbrs: np.ndarray, sources: np.ndarray) -> np.n
         frontier = np.concatenate(found)
     return hops
 
-
-def hypernym_of(h: Hierarchy, class_index: int, targets: Iterable[str]) -> str:
-    """First node in ``targets`` on the walk from the class's leaf up to the root.
-
-    The leaf itself counts (zero-step traversal).  Raises if no node on the
-    path is in ``targets``.
-    """
-    if not h.is_tree:
-        raise ValueError("hypernym_of requires a tree (some node has two parents)")
-    class_index = int(class_index)
-    if class_index not in h.class_index:
-        raise ValueError(f"class {class_index} does not exist in the hierarchy")
-    target_set = set(targets)
-    node = h.class_index[class_index]
-    leaf = node
-    while True:
-        if node in target_set:
-            return node
-        up = h.parents[node]
-        if not up:
-            raise ValueError(
-                f"class {class_index} (leaf {leaf!r}): no matching ancestor in targets"
-            )
-        node = up[0]

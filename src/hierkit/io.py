@@ -4,8 +4,8 @@ Binary formats are little-endian with an 8-byte magic: `HBFEAT01` (features),
 `HBDMAT01` (square f64 matrix), `HBHEAD01` (classifier head).  Bulk payloads
 are 32-bit floats; distance matrices are 64-bit since correlation analysis
 is sensitive to rounding.  A path ending in `.csv` picks CSV, any other path
-binary.  Every CSV file is one dialect, written by `write_csv` or
-`_csv_lines` and read by `_csv_rows`: UTF-8, `\\n` line ends, a header row,
+binary.  Every CSV file is one dialect, written through one opener,
+`_write_blocks`, and read by `_csv_rows`: UTF-8, `\\n` line ends, a header row,
 then rows with as many fields as the header; empty lines are skipped but keep
 their line numbers.  Numbers are formatted locale-independently, so identical
 inputs give byte-identical files on any machine.  Readers validate strictly:
@@ -128,10 +128,7 @@ def _read_u64(fh, n: int, what: str, path) -> tuple[int, ...]:
 
 def write_csv(path, header, lines) -> None:
     """Write ``header``, then each of ``lines``: comma-joined fields, no line end."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    _write_blocks(path, header, ((line + "\n").encode() for line in lines))
 
 
 def _write_blocks(path, header: str, blocks) -> None:

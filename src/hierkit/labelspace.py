@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import Hierarchy, _built_from, hypernym_of, iter_lines
+from .hierarchy import Hierarchy, _built_from, iter_lines
 from .metrics import PredictionLog
 from .rng import substream
 
@@ -107,16 +107,15 @@ def build_labelspace(h: Hierarchy, groups, name: str = "hypernyms") -> tuple[Lab
     if not h.is_tree:
         node, up = next((n, p) for n, p in h.parents.items() if len(p) > 1)
         raise ValueError(f"grouping requires a tree: node {node!r} has parents {up}")
-    c = h.class_count
-    table = np.empty(c, dtype=np.int64)
-    targets = set(node_to_group)
-    for ci in range(c):
-        try:
-            node = hypernym_of(h, ci, targets)
-        except ValueError:
-            leaf = h.class_index[ci]
-            raise ValueError(f"class {ci} (leaf {leaf!r}) matches no group: "
-                             "partition violated") from None
+    table = np.empty(h.class_count, dtype=np.int64)
+    for ci in range(h.class_count):
+        # walk up from the leaf (which counts) to the first grouped node
+        node = leaf = h.class_index[ci]
+        while node not in node_to_group:
+            if not h.parents[node]:
+                raise ValueError(f"class {ci} (leaf {leaf!r}) matches no group: "
+                                 "partition violated")
+            node = h.parents[node][0]
         table[ci] = node_to_group[node]
 
     sizes = np.bincount(table, minlength=len(groups))
@@ -132,6 +131,8 @@ def hyponym_space(class_count: int) -> LabelSpace:
     class_count = int(class_count)
     if class_count < 1:
         raise ValueError("class_count must be >= 1")
+    if class_count >= 2**63:  # np.arange would give an empty float64 array
+        raise ValueError(f"class_count {class_count} does not fit in int64")
     return LabelSpace(name="hyponyms", table=np.arange(class_count))
 
 

@@ -74,9 +74,6 @@ class PredictionLog:
     def __len__(self) -> int:
         return int(self.epochs.shape[0])
 
-    def epoch_values(self) -> np.ndarray:
-        return np.unique(self.epochs)
-
     def at_epoch(self, epoch: int) -> "PredictionLog":
         """The slice of records for one epoch."""
         mask = self.epochs == int(epoch)
@@ -199,7 +196,7 @@ def confusion_matrix(log: PredictionLog) -> ConfusionMatrix:
     """Confusion counts for a single-epoch log slice, rows/cols in label order."""
     if len(log) == 0:
         raise ValueError("cannot build a confusion matrix from an empty log")
-    if log.epoch_values().size != 1:
+    if (log.epochs != log.epochs[0]).any():
         raise ValueError("confusion_matrix expects a single-epoch log slice; "
                          "use PredictionLog.at_epoch first")
     counts = np.zeros((log.label_count, log.label_count), dtype=np.int64)

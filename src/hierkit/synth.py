@@ -154,6 +154,15 @@ def gen_hierarchical_trajectory(h: Hierarchy, s: LabelSpace,
     return out
 
 
+def _other_slot(u: np.ndarray, m, skip) -> np.ndarray:
+    """A uniform slot among the ``m`` slots 0..m-1 other than ``skip``, from u in [0, 1).
+
+    Draws 0..m-2 and steps over ``skip``; gives ``skip`` itself when m == 1.
+    """
+    j = np.minimum((u * (m - 1)).astype(np.int64), np.maximum(m - 2, 0))
+    return np.minimum(j + (j >= skip), m - 1)
+
+
 def gen_prediction_trajectory(h: Hierarchy, s: LabelSpace, epochs: int,
                               accuracy_schedule, within_hypernym_error_fraction_schedule,
                               examples: int, seed: int) -> PredictionLog:
@@ -205,24 +214,14 @@ def gen_prediction_trajectory(h: Hierarchy, s: LabelSpace, epochs: int,
         u_within = rng.random(examples)
         u_pick = rng.random(examples)
 
-        # uniform wrong label: sample 0..C-2 and skip over the true label
-        j_any = np.minimum((u_pick * (c - 1)).astype(np.int64), c - 2) if c > 1 else \
-            np.zeros(examples, dtype=np.int64)
-        j_any = j_any + (j_any >= true)
-
-        # within-superclass wrong label: same trick inside the member block
-        j_in = np.minimum((u_pick * (size_of - 1)).astype(np.int64),
-                          np.maximum(size_of - 2, 0))
-        j_in = j_in + (j_in >= pos_of)
-        pred_within = flat_members[off_of + np.minimum(j_in, size_of - 1)]
+        # a uniform wrong label over all classes, or inside the member block
+        pred_any = _other_slot(u_pick, c, true)
+        pred_within = flat_members[off_of + _other_slot(u_pick, size_of, pos_of)]
 
         correct = u_correct < acc[t - 1]
         wants_within = u_within < within[t - 1]
         can_within = size_of > 1
-        if c > 1:
-            pred = np.where(wants_within & can_within, pred_within, j_any)
-        else:
-            pred = true
+        pred = np.where(wants_within & can_within, pred_within, pred_any)
         if (~correct & wants_within & ~can_within).any():
             singleton_fallback = True
         preds[t - 1] = np.where(correct, true, pred)

@@ -315,6 +315,24 @@ class TestSynthPredictions:
         assert not (out / "predictions.csv").exists()
 
 
+class TestSynthFeatures:
+    def test_no_config_equals_an_empty_config(self, tax, spacefile, tmp_path):
+        edges, classes, _ = tax
+        empty = tmp_path / "empty.cfg"
+        empty.write_text("")
+        outs = {}
+        for tag, config in (("none", []), ("empty", ["--config", str(empty)])):
+            outs[tag] = tmp_path / tag
+            assert run(["synth", "features", "--hierarchy", str(edges),
+                        "--classes", str(classes), "--labelspace", str(spacefile),
+                        *config, "--seed", "4", "--out", str(outs[tag])]) == 0
+        names = sorted(p.name for p in outs["none"].glob("features_e*.bin"))
+        assert len(names) == 40
+        assert names == sorted(p.name for p in outs["empty"].glob("features_e*.bin"))
+        for name in names:
+            assert (outs["none"] / name).read_bytes() == (outs["empty"] / name).read_bytes()
+
+
 class TestSynthEtf:
     def test_frame_written(self, tmp_path):
         out = tmp_path / "etf"
@@ -901,6 +919,15 @@ def test_huge_label_without_labelspace_exits_one(tmp_path, action):
                           text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: Unable to allocate")
+
+
+@pytest.mark.parametrize("action", ["curves", "converge"])
+def test_label_beyond_int64_hyponym_space_exits_one(tmp_path, capsys, action):
+    # the hyponym space of this log would have 2**63 classes
+    log = tmp_path / "p.csv"
+    log.write_text(f"epoch,example_id,true_label,pred_label\n1,a,0,0\n1,b,0,{2**63 - 1}\n")
+    assert run(["metrics", action, "--log", str(log), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: class_count {2**63} does not fit in int64\n"
 
 
 def test_examples_beyond_int64_exit_one(tax, spacefile, tmp_path):

@@ -7,8 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 import hierkit.hierarchy as hierarchy
-from hierkit.hierarchy import (DistanceMatrix, graph_distance_matrix, hypernym_of,
-                               parse_hierarchy)
+from hierkit.hierarchy import DistanceMatrix, graph_distance_matrix, parse_hierarchy
 
 from _helpers import animals_hierarchy
 
@@ -156,34 +155,6 @@ class TestDistanceMatrixValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             DistanceMatrix(labels=[0, 1], values=np.array([[0.0, -1.0], [-1.0, 0.0]]))
-
-
-class TestHypernymOf:
-    def test_first_match_upward(self):
-        h = parse_hierarchy(["root\tanimal", "animal\tdog", "dog\tbulldog"],
-                            ["0\tbulldog"])
-        assert hypernym_of(h, 0, ["animal", "artifact"]) == "animal"
-
-    def test_leaf_itself_matches(self):
-        h = parse_hierarchy(["root\tanimal", "animal\tdog", "dog\tbulldog"],
-                            ["0\tbulldog"])
-        assert hypernym_of(h, 0, ["bulldog", "animal"]) == "bulldog"
-
-    def test_nearest_wins(self):
-        h = parse_hierarchy(["root\tanimal", "animal\tdog", "dog\tbulldog"],
-                            ["0\tbulldog"])
-        assert hypernym_of(h, 0, ["dog", "animal"]) == "dog"
-
-    def test_no_match_errors(self):
-        h = parse_hierarchy(["root\tanimal", "animal\tdog", "dog\tbulldog"],
-                            ["0\tbulldog"])
-        with pytest.raises(ValueError, match="no matching ancestor"):
-            hypernym_of(h, 0, ["plant"])
-
-    def test_requires_tree(self):
-        h = parse_hierarchy(["r\tx", "s\tx", "x\tleaf"], ["0\tleaf"])
-        with pytest.raises(ValueError, match="requires a tree"):
-            hypernym_of(h, 0, ["r"])
 
 
 def _floyd_warshall_hops(h):

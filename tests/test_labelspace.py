@@ -104,6 +104,13 @@ class TestBuildLabelspace:
             h, [("dogs", ["dog"]), ("fauna", ["animal"]), ("flora", ["plant"])])
         assert list(table) == [0, 1, 1, 2, 2, 2]
 
+    def test_listed_intermediate_ancestor_beats_a_higher_one(self):
+        # bulldog's walk meets the listed "dog" before the listed "animal"
+        h = parse_hierarchy(["root\tanimal", "animal\tdog", "dog\tbulldog", "animal\tcat"],
+                            ["0\tbulldog", "1\tcat"])
+        _, table = build_labelspace(h, [("canines", ["dog"]), ("fauna", ["animal"])])
+        assert list(table) == [0, 1]
+
 
 class TestParseGrouping:
     def test_basic(self):
