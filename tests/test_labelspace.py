@@ -111,6 +111,20 @@ class TestBuildLabelspace:
         _, table = build_labelspace(h, [("canines", ["dog"]), ("fauna", ["animal"])])
         assert list(table) == [0, 1]
 
+    def test_listed_leaf_beats_its_listed_parent(self):
+        # the walk starts at the leaf itself, so "bulldog" is met before "dog"
+        h = parse_hierarchy(["root\tdog", "dog\tbulldog", "dog\tpoodle"],
+                            ["0\tbulldog", "1\tpoodle"])
+        _, table = build_labelspace(h, [("bulldogs", ["bulldog"]), ("canines", ["dog"])])
+        assert list(table) == [0, 1]
+
+    def test_unmatched_class_names_its_leaf(self):
+        # the walk from "tree" reaches the root without meeting "animal"
+        h = animals_hierarchy()
+        with pytest.raises(ValueError, match=r"^class 3 \(leaf 'tree'\) matches no group: "
+                                             r"partition violated$"):
+            build_labelspace(h, [("fauna", ["animal"])])
+
 
 class TestParseGrouping:
     def test_basic(self):
