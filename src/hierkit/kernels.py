@@ -1,15 +1,17 @@
-"""Exact nearest-distance kernels in feature space, and the one row-block rule.
+"""Exact kernels in feature space, their screens, and the one row-block rule.
 
 ``_sq_distances`` is the one exact squared-distance sum, and ``_sq_minima``, its
 rows reduced over groups of refs, the one exact-distance call;
-``min_sq_distances`` runs it on every row.  ``GroupScreen`` (the grid cover's
-step indices and r_max) and ``nearest_refs`` (the NCC readout) screen with one
-GEMM per row block (``_screen_block``) under a proven error bound
-(``_screen_slack``): in float64, except that ``nearest_refs`` screens float32
-rows in float32.  Rows the bound settles take the screened answer; unsettled
-rows take their exact row from ``_sq_minima``.
+``min_sq_distances`` runs it on every row.  ``_pair_dots`` is the one exact
+dot product, the same recipe with a product in place of the square of a
+difference: the linear scores of ``collapse._linear_labels``.  ``GroupScreen``
+(the grid cover's step indices and r_max) and ``nearest_refs`` (the NCC readout)
+screen with one GEMM per row block (``_screen_block``) under a proven error
+bound (``_screen_slack``): in float64, except that ``nearest_refs`` screens
+float32 rows in float32.  The linear readout screens its scores the same way,
+under ``_score_slack``.  Rows the bound settles take the screened answer
+(``_settle`` for both readouts); unsettled rows take their exact values.
 """
-
 from __future__ import annotations
 
 import os
@@ -81,6 +83,27 @@ def _sq_distances(x: np.ndarray, refs_t: np.ndarray) -> np.ndarray:
                 np.multiply(d, d, out=d)
                 np.add(a, d, out=a)
             out[lo:lo + len(xb)] = a
+    return out
+
+
+def _pair_dots(x: np.ndarray, w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The float64 dot products x[rows[k]].w[cols[k]], for each k.
+
+    Each is one float64 sum, from +0.0, over the dimensions in index order, of
+    the rounded products: the :func:`_sq_distances` recipe with a product in
+    place of the square of a difference, so a pair gets the same bits in any
+    call.  ``np.add.accumulate`` adds each row in index order, on a row of
+    products that starts with +0.0.  Pairs are gathered about 2**20 values at a
+    time.  Overflow gives inf, and inf - inf nan, without a warning.
+    """
+    out = np.empty(len(rows))
+    width = x.shape[1] + 1
+    step = max(1, 2**20 // width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(rows), step):
+            t = np.zeros((len(rows[lo:lo + step]), width))
+            np.multiply(x[rows[lo:lo + step]], w[cols[lo:lo + step]], out=t[:, 1:])
+            out[lo:lo + step] = np.add.accumulate(t, axis=1, out=t)[:, -1]
     return out
 
 
@@ -231,6 +254,102 @@ def _screen_block(xb: np.ndarray, refs: np.ndarray,
     return s, _screen_slack(xx, rr.max(), xb.shape[1])
 
 
+def _score_slack(xx: np.ndarray, ww_max: float, b_max: float, p: int) -> np.ndarray:
+    """E: a float64 bound on |s - t| for the linear scores of rows whose computed
+    |x|^2 is ``xx``, where t = x.w + b is the exact score (the :func:`_pair_dots`
+    value plus b, rounded once in float64), s its screen,
+    ``ww_max`` the largest |w|^2 computed in float64 over the weight rows and
+    ``b_max`` the largest |b|.
+
+    Derivation (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).
+    The screen runs in the dtype of ``xx``, float64 or float32, with unit
+    roundoff u = 2**-53 or 2**-24 and eta = 2**-1075 or 2**-150, half its
+    smallest subnormal; gamma_n = n*u / (1 - n*u), and u', eta' and gamma'_n are
+    the float64 values.  It sees w~ and b~, w and b rounded to that dtype once
+    (unchanged in float64), and computes s = fl(g + b~) from one GEMM entry g =
+    x.w~.  For one row x and weight row w let S = sum |x_i w_i| <= |x| |w| and B
+    = max |b|.  A rounding to nearest errs by at most u times its result, or by
+    eta where the result is subnormal, and an add whose result is subnormal is
+    exact.  Hence:
+
+    - t: the float64 sum d of the p rounded products, in index order, takes each
+      term through at most p roundings, and each product may underflow by eta',
+      which the later roundings grow by at most 1 + gamma'_p <= 2: |d - x.w| <=
+      gamma'_p S + 2p eta'.  With the add of b, |t - x.w - b| <= gamma'_{p+1} S +
+      u' |b| + 4p eta'.
+    - s, in any summation order, with or without FMA (an FMA rounds once where a
+      product and an add round twice): in the same way |g - x.w~| <= gamma_p S~
+      + 2p eta, where S~ = sum |x_i w~_i|, and |s - x.w~ - b~| <= gamma_{p+1} S~
+      + u |b~| + 4p eta.  The rounding of w and b errs by |w~_i - w_i| <= u |w_i|
+      + eta and |b~ - b| <= u |b| + eta, so S~ <= (1 + u) S + eta sum |x_i|,
+      sum |x_i| <= sqrt(p) |x|, and |s - x.w - b| <= gamma_{p+2} S + gamma_2 |b|
+      + 2 eta sqrt(p) |x| + (4p + 2) eta.
+
+    So |s - t| <= (gamma_{p+2} + gamma'_{p+1}) |x| |w| + (gamma_2 + u') B +
+    2 eta sqrt(p) |x| + (8p + 2) eta.  The computed squared norms, in any order,
+    fall short by at most gamma_p (gamma'_p) relative and 2p eta (2p eta'), so
+    |x|^2 <= a = (xx + 2p eta) / (1 - gamma_p) and |w|^2 <= w = (ww_max + 2p eta')
+    / (1 - gamma'_p).  With
+
+        E = (gamma_{p+3} + gamma'_{p+3} + 2u)(sqrt(a w) + B) + 8 eta (sqrt(p a) + p + 1),
+
+    E - |s - t| >= 2u (sqrt(a w) + B) + 6 eta (sqrt(p a) + 1): the factor of
+    sqrt(a w) exceeds gamma_{p+2} + gamma'_{p+1} by at least 3u, and that of B
+    exceeds gamma_2 + u' by at least gamma_3 + 2u - gamma_2 >= 2u.  Evaluated in
+    float64, E errs by less than 32u' relative, plus eta' where its last term is
+    subnormal, and while gamma_{p+3} <= 1/64 (p < 2.5 * 10**5 in float32) that
+    is less than this margin.  E is inf for larger p.
+
+    Valid while the screen overflows nowhere: apart from a few eta, its values
+    are at most 2 (sqrt(a w) + B) and its weights at most 2 sqrt(w), so E is inf
+    unless both lie within the dtype's range (and a is finite).  On the rows
+    where E is finite, t is finite too.
+    """
+    f = np.finfo(xx.dtype)
+    u, tiny = float(f.eps) / 2, float(f.smallest_subnormal)  # tiny = 2 eta
+    if (p + 3) * u > 1 / 65:  # gamma_{p+3} > 1/64
+        return np.full(len(xx), np.inf)
+
+    def gamma(n: int, u: float) -> float:
+        return n * u / (1 - n * u)
+
+    a = (xx.astype(np.float64) + p * tiny) / (1 - gamma(p, u))
+    w = (ww_max + p * 2.0**-1074) / (1 - gamma(p, 2.0**-53))
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.sqrt(a * w) + b_max
+        e = ((gamma(p + 3, u) + gamma(p + 3, 2.0**-53) + 2 * u) * top
+             + 4 * tiny * (np.sqrt(p * a) + p + 1))
+        bounded = (2 * top <= float(f.max)) & (2 * np.sqrt(w) <= float(f.max))
+    return np.where(bounded, e, np.inf)
+
+
+def _settle(s: np.ndarray, slack: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Settle a screened block ``s`` of a row-wise argmin whose exact values lie
+    within ``slack`` = E of it; ties go to the lower index.
+
+    Writes each row's screened argmin into ``out`` and returns the unsettled rows
+    and a boolean mask of their candidates: the entries of a row within 2E of its
+    screened minimum, a threshold rounded upward, or all of them where E is inf.
+    The exact argmin j of a row is always a candidate, since s_j <= c_j + E <=
+    c_k + E <= s_k + 2E for every k; so a row is settled, with its screened
+    argmin, when it has a bound and no other entry is a candidate.  Overwrites
+    each row's screened minimum in ``s`` with inf.  Callers silence overflow.
+    """
+    f = np.finfo(s.dtype)
+    best = np.argmin(s, axis=1, out=out)
+    at_best = (np.arange(len(s)), best)
+    limit = (s[at_best] + 2 * slack).astype(s.dtype, copy=False)
+    # one float or more up, whatever the sign: above the exact sum
+    limit += np.abs(limit) * f.eps + f.smallest_subnormal
+    s[at_best] = np.inf  # so that each row's minimum is now its runner-up
+    unbounded = np.isinf(slack)
+    unsettled = np.flatnonzero(unbounded | (s.min(axis=1) <= limit))
+    near = s[unsettled] <= limit[unsettled, None]
+    near[unbounded[unsettled]] = True
+    near[np.arange(len(unsettled)), best[unsettled]] = True
+    return unsettled, near
+
+
 class GroupScreen:
     """The cover minima of :func:`min_sq_distances`, screened: for each row x[i]
     and non-empty group g = refs[starts[g]:starts[g + 1]], what the grid cover
@@ -313,20 +432,19 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
     Bit for bit the ``argmin`` of each row of the exact distances
     (:func:`_sq_distances`): ties go to the lower index.  Works in row blocks of
     :func:`_block_rows` of the wider of the ref count (the screen) and the
-    dimension (a float64 row copy); the labels do not depend on the blocking.  A GEMM screen finds, per row, the refs within
-    twice the rounding bound E (:func:`_screen_slack`) of the row's screened
-    minimum, a threshold rounded upward; the exact winner j is always among them,
-    since s_j <= c_j + E <= c_k + E <= s_k + 2E for every k.  A row with one such
-    ref takes it.  Float32 rows screen in float32, against the refs rounded to
-    float32 once, with no float64 copy of the rows; other rows screen in float64.
-    Unsettled rows, those with several and those too large for the bound, take
-    their exact row: the ``argmin`` of its :func:`_sq_minima` row over every ref.
+    dimension (a float64 row copy); the labels do not depend on the blocking.
+    A GEMM screen (:func:`_screen_block`) and its rounding bound E
+    (:func:`_screen_slack`) settle each row with one candidate ref
+    (:func:`_settle`).  Float32 rows screen in float32, against the refs rounded
+    to float32 once, with no float64 copy of the rows; other rows screen in
+    float64.  Unsettled rows, those with several candidates and those too large
+    for the bound, take their exact row: the ``argmin`` of its :func:`_sq_minima`
+    row over every ref.
     """
     refs = refs.astype(np.float64, copy=False)
     if refs.shape[0] == 0:
         raise ValueError("nearest_refs needs at least one reference point")
     dtype = np.float32 if x.dtype == np.float32 else np.float64
-    f = np.finfo(dtype)
     labels = np.empty(len(x), dtype=np.intp)
     rows = _block_rows(max(refs.shape))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -334,15 +452,9 @@ def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
         rr = np.einsum("ij,ij->i", screen_refs, screen_refs)
         for lo in range(0, len(x), rows):
             s, slack = _screen_block(x[lo:lo + rows].astype(dtype, copy=False), screen_refs, rr)
-            best = np.argmin(s, axis=1, out=labels[lo:lo + rows])
-            # min(s) + 2E >= E > 0 in the screen's dtype; * (1 + eps) + the smallest
-            # subnormal moves it at least one float up, above the exact sum
-            limit = (s[np.arange(len(s)), best] + 2 * slack).astype(dtype, copy=False)
-            limit = limit * (1 + f.eps) + f.smallest_subnormal
-            near = np.count_nonzero(s <= limit[:, None], axis=1)
+            unsettled, _ = _settle(s, slack, labels[lo:lo + rows])
             del s  # so that no two blocks are held at once
-            unsettled = np.flatnonzero(np.isinf(slack) | (near > 1))
             if unsettled.size:
                 exact = _sq_minima(x[lo + unsettled], refs)
-                best[unsettled] = np.argmin(exact, axis=1)
+                labels[lo + unsettled] = np.argmin(exact, axis=1)
     return labels

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hierkit.collapse import (ClassStats, ClassifierHead, _linear_labels, class_
 from hierkit.labelspace import LabelSpace
 from hierkit.manifold import FeatureSet
 from hierkit.synth import gen_etf
+from test_distance_kernel import NEAREST_CASES
 
 
 def _stats(class_means, global_mean=None, counts=None, sigma_w=None, sigma_b=None):
@@ -231,40 +233,140 @@ class TestNc4:
         assert nc4_mismatch(f, st, head) == nc4_mismatch(relabeled, st, head)
 
 
-class TestLinearReadout:
-    """The blocked readout against the whole float64 GEMM, bit for bit.
+def _exact_scores(x, head):
+    """t_c per row: the float64 sum, from +0.0, over the dimensions in index
+    order, of the rounded products x_i w_ci, plus b_c; a plain loop."""
+    x = x.astype(np.float64)
+    t = np.zeros((len(x), head.class_count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(x.shape[1]):
+            t += x[:, j, None] * head.weights[:, j]
+        return t + head.bias
 
-    At p=512 and C=64, OpenBLAS 0.3.31 gives a block of 64 rows the bits of
-    the whole call, but not a tail of 1-3 rows run alone: plain
-    ``range(0, n, rows)`` blocks fail this test.  The readout's last block
-    takes the tail.
+
+def _exact_labels(x, head):
+    return np.argmax(_exact_scores(x, head), axis=1)
+
+
+def _dual_head(refs):
+    # argmax_c x.r_c - |r_c|^2 / 2 is the nearest ref: every case of the
+    # nearest-ref kernel is a linear readout case, its ties and near ties included
+    refs = np.asarray(refs, dtype=np.float64)
+    return ClassifierHead(weights=refs, bias=-0.5 * np.einsum("ij,ij->i", refs, refs))
+
+
+def _dual_case(case):
+    def make():
+        x, refs = case()
+        return x, _dual_head(refs)
+    return make
+
+
+def _near_tie_case(dtype):
+    # Weight rows i and i + 20 differ by one float64 in one coordinate and share
+    # a bias, so where one of them wins a row, it beats the other by about
+    # 1e-16: rounded to float32 they are one row, and a float64 GEMM errs by as
+    # much as the gap.
+    rng = np.random.default_rng(30)
+    base = rng.standard_normal((20, 6))
+    moved = base.copy()
+    moved[:, 2] = np.nextafter(moved[:, 2], np.inf)
+    bias = np.tile(rng.standard_normal(20) * 0.1, 2)
+    x = np.vstack([base, rng.standard_normal((40, 6))]).astype(dtype)
+    return x, ClassifierHead(weights=np.vstack([base, moved]), bias=bias)
+
+
+def _exact_tie_case(dtype):
+    # Integer rows and weights, duplicated weight rows and biases: every score is
+    # an exact integer, and class c ties with class c + 3 wherever it wins.
+    rng = np.random.default_rng(31)
+    w = rng.integers(-4, 5, size=(3, 5)).astype(float)
+    head = ClassifierHead(weights=np.vstack([w, w]), bias=np.array([1.0, 0, 2, 1, 0, 2]))
+    return rng.integers(-4, 5, size=(50, 5)).astype(dtype), head
+
+
+def _scaled_case(x_scale, w_scale, dtype):
+    # rows x_scale, weights w_scale and biases their product: from 1e19 the
+    # float32 |x|^2 overflows, and at 1e-30 every float32 product underflows
+    def case():
+        rng = np.random.default_rng(32)
+        x = (rng.standard_normal((40, 8)) * x_scale).astype(dtype)
+        return x, ClassifierHead(weights=rng.standard_normal((12, 8)) * w_scale,
+                                 bias=rng.standard_normal(12) * (x_scale * w_scale))
+    return case
+
+
+def _beyond_float32_case(where):
+    # one weight, one bias or (float64 rows) one coordinate beyond float32's range
+    def case():
+        rng = np.random.default_rng(33)
+        x, w, b = rng.standard_normal((30, 5)), rng.standard_normal((9, 5)), rng.standard_normal(9)
+        {"weights": w, "bias": b[None], "rows": x}[where][0, 1] = 1e39
+        return (x if where == "rows" else x.astype(np.float32)), ClassifierHead(weights=w, bias=b)
+    return case
+
+
+def _zero_rows_case(dtype):
+    # zero rows score b exactly: distinct biases pick their argmax, equal ones 0
+    def case():
+        rng = np.random.default_rng(34)
+        x = np.vstack([np.zeros((5, 7)), rng.standard_normal((10, 7)), np.zeros((5, 7))])
+        b = rng.standard_normal(6) if dtype == np.float32 else np.zeros(6)
+        return x.astype(dtype), ClassifierHead(weights=rng.standard_normal((6, 7)), bias=b)
+    return case
+
+
+def _p1_case():
+    rng = np.random.default_rng(35)
+    x = (rng.integers(-40, 41, size=(100, 1)) / 8.0).astype(np.float32)
+    return x, ClassifierHead(weights=rng.integers(-8, 9, size=(9, 1)) / 4.0,
+                             bias=rng.integers(-8, 9, size=9) / 2.0)
+
+
+LINEAR_CASES = {
+    # float32_1000_classes is test_screen_settles_most_rows' alone: its exact
+    # scores take a second
+    **{f"dual_{name}": _dual_case(case)
+       for name, case in NEAREST_CASES.items() if name != "float32_1000_classes"},
+    "near_ties_float32": lambda: _near_tie_case(np.float32),
+    "near_ties_float64": lambda: _near_tie_case(np.float64),
+    "exact_ties_float32": lambda: _exact_tie_case(np.float32),
+    "exact_ties_float64": lambda: _exact_tie_case(np.float64),
+    **{f"scale_x1e{ex}_w1e{ew}_{d.__name__}": _scaled_case(10.0 ** ex, 10.0 ** ew, d)
+       for ex, ew in ((30, 0), (-30, 0), (0, 30), (0, -30), (-30, 30), (19, 0))
+       for d in (np.float32, np.float64)},
+    **{f"beyond_float32_{where}": _beyond_float32_case(where)
+       for where in ("weights", "bias", "rows")},
+    "zero_rows_float32": _zero_rows_case(np.float32),
+    "zero_rows_float64": _zero_rows_case(np.float64),
+    "p1": _p1_case,
+}
+
+
+class TestLinearReadout:
+    """The screened linear readout against the argmax of the exact scores.
+
+    The labels must be bit for bit those of :func:`_exact_scores`, whatever the
+    row blocking and whichever screen ran, ties going to the lower index.
     """
 
-    ROWS = 64
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("extra", [-1, 0, 1, 3, ROWS + 1])
-    def test_scores_and_labels_match_the_whole_gemm(self, monkeypatch, dtype, extra):
-        n = self.ROWS + extra
+    @pytest.mark.parametrize("n", [63, 64, 65, 67, 129])
+    def test_labels_are_the_argmax_of_the_exact_scores(self, monkeypatch, dtype, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, 512)).astype(dtype)
         head = ClassifierHead(weights=rng.standard_normal((64, 512)), bias=rng.standard_normal(64))
+        t = _exact_scores(x, head)
+        want = np.argmax(t, axis=1)
+        # no near ties, so the whole float64 GEMM has the same argmax
+        top2 = np.sort(t, axis=1)[:, -2:]
+        assert (top2[:, 1] - top2[:, 0] > 1e-9).all()
         whole = x.astype(np.float64) @ head.weights.T + head.bias
-        monkeypatch.setattr(collapse, "_block_rows", lambda width: self.ROWS)
-        blocks = []
-        argmax = np.argmax
-
-        def spy(a, *args, **kwargs):
-            blocks.append(a.copy())
-            return argmax(a, *args, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(np, "argmax", spy)
-            labels = _linear_labels(x, head)
-        sizes = [len(b) for b in blocks]
-        assert sum(sizes) == n and min(sizes) >= min(n, self.ROWS)
-        assert np.array_equal(np.vstack(blocks), whole)
-        assert np.array_equal(labels, np.argmax(whole, axis=1))
+        assert np.array_equal(np.argmax(whole, axis=1), want)
+        assert np.array_equal(_linear_labels(x, head), want)
+        for rows in (1, 2, 3, 64):
+            monkeypatch.setattr(collapse, "_block_rows", lambda width: rows)
+            assert np.array_equal(_linear_labels(x, head), want)
 
     @pytest.mark.parametrize("c, p", [(64, 512), (512, 64)])
     def test_blocks_count_the_float64_row_copy(self, monkeypatch, c, p):
@@ -274,6 +376,108 @@ class TestLinearReadout:
         head = ClassifierHead(weights=rng.standard_normal((c, p)), bias=np.zeros(c))
         _linear_labels(rng.standard_normal((20, p)), head)
         assert asked == [512]
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+    def test_hard_cases_match_the_exact_scores(self, monkeypatch, case, block_rows):
+        # no RuntimeWarning either, overflow in the screen or the exact sum included
+        x, head = LINEAR_CASES[case]()
+        want = _exact_labels(x, head)
+        if block_rows is not None:
+            monkeypatch.setattr(collapse, "_block_rows", lambda width: block_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_linear_labels(x, head), want)
+
+    def test_ties_go_to_the_lower_index(self):
+        for dtype in (np.float32, np.float64):
+            x, head = _exact_tie_case(dtype)
+            t = _exact_scores(x, head)
+            labels = _linear_labels(x, head)
+            assert (labels < 3).all() and set(labels) == {0, 1, 2}
+            assert (t[:, :3] == t[:, 3:]).all()
+        x, head = _zero_rows_case(np.float64)()
+        assert (_linear_labels(x, head)[[0, 4, 15, 19]] == 0).all()
+
+    @pytest.mark.parametrize("case", ["near_ties_float32", "near_ties_float64",
+                                      "exact_ties_float32", "scale_x1e-30_w1e0_float32",
+                                      "scale_x1e30_w1e0_float32", "beyond_float32_weights",
+                                      "dual_float32_merged_means", "dual_etf_ties"])
+    def test_hard_cases_go_through_the_refine(self, monkeypatch, case):
+        # the screen alone cannot give these labels; the exact scores of some
+        # rows' candidates must be computed
+        x, head = LINEAR_CASES[case]()
+        pairs = []
+        exact = kernels._pair_dots
+
+        def spy(xa, w, rows, cols):
+            pairs.append(len(rows))
+            return exact(xa, w, rows, cols)
+
+        monkeypatch.setattr(collapse, "_pair_dots", spy)
+        assert np.array_equal(_linear_labels(x, head), _exact_labels(x, head))
+        assert sum(pairs) > 0
+        if case.startswith("near_ties"):
+            t = np.sort(_exact_scores(x, head), axis=1)
+            assert ((t[:, -1] - t[:, -2]) < 1e-14).any()
+
+    def test_screen_settles_most_rows(self, monkeypatch):
+        # 9000 float32 rows, 1000 classes: few rows reach the exact sum
+        x, refs = NEAREST_CASES["float32_1000_classes"]()
+        head = _dual_head(refs)
+        rows, settle = [], kernels._settle
+
+        def spy(s, slack, out):
+            unsettled, near = settle(s, slack, out)
+            rows.append(len(unsettled))
+            return unsettled, near
+
+        monkeypatch.setattr(collapse, "_settle", spy)
+        assert np.array_equal(_linear_labels(x, head), _exact_labels(x, head))
+        assert sum(rows) <= len(x) // 100
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [1, 2, 64, 512, 10**5])
+    def test_score_slack_is_at_least_the_derived_bound(self, dtype, p):
+        # |s - t| <= (g_{p+2} + g'_{p+1}) |x| |w| + (g_2 + u') B + 2 eta sqrt(p) |x|
+        # + (8p + 2) eta, with the true norms at most the corrected computed ones
+        f = np.finfo(dtype)
+        u, eta = float(f.eps) / 2, float(f.smallest_subnormal) / 2
+        u64 = 2.0**-53
+        gamma = lambda n, u: n * u / (1 - n * u)  # noqa: E731
+        xx = np.array([0.0, 1e-40, 1.0, 3.5e7, 1e30], dtype=dtype)
+        ww_max, b_max = 2.0, 0.5
+        x_norm = np.sqrt((xx.astype(np.float64) + 2 * p * eta) / (1 - gamma(p, u)))
+        w_norm = np.sqrt((ww_max + p * 2.0**-1074) / (1 - gamma(p, u64)))
+        bound = ((gamma(p + 2, u) + gamma(p + 1, u64)) * x_norm * w_norm
+                 + (gamma(2, u) + u64) * b_max + 2 * eta * np.sqrt(p) * x_norm + (8 * p + 2) * eta)
+        slack = kernels._score_slack(xx, ww_max, b_max, p)
+        assert slack.dtype == np.float64
+        assert (slack >= bound).all()
+        # weights, bias or |x|^2 beyond the dtype's range, and p beyond the proof:
+        # no bound
+        big = float(f.max) ** 2 if dtype == np.float32 else np.inf
+        assert np.isinf(kernels._score_slack(xx, big, b_max, p)).all()
+        assert np.isinf(kernels._score_slack(xx, ww_max, float(f.max), p)).all()
+        assert np.isinf(kernels._score_slack(np.array([np.inf], dtype=dtype), ww_max, b_max, p))
+        assert np.isinf(kernels._score_slack(xx, ww_max, b_max, int(1 / (60 * u)))).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(LINEAR_CASES))
+    def test_score_slack_covers_the_observed_error(self, case, dtype):
+        # the screen of each case in each dtype, against the exact scores
+        x, head = LINEAR_CASES[case]()
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = x.astype(dtype)
+            s = xs @ head.weights.astype(dtype).T + head.bias.astype(dtype)
+            slack = kernels._score_slack(np.einsum("ij,ij->i", xs, xs),
+                                         np.einsum("ij,ij->i", head.weights, head.weights).max(),
+                                         np.abs(head.bias).max(), x.shape[1])
+        bounded = np.isfinite(slack)
+        err = np.abs(s[bounded].astype(np.float64) - _exact_scores(xs[bounded], head))
+        assert (err <= slack[bounded, None]).all()
+        assert bounded.any() or dtype == np.float32 and ("beyond" in case or "1e30" in case
+                                                         or "1e19" in case or "overflow" in case)
 
 
 class TestBoundedMemory:
@@ -311,6 +515,19 @@ class TestBoundedMemory:
         lifted, lifted_head = lift_to_superclass(stats, head, space)
         _, peak = self._peak(lambda: nc_report(f, lifted_head, "hypernyms", stats=lifted))
         assert peak < 0.25 * one_copy
+
+    def test_linear_readout_of_float32_rows(self, monkeypatch):
+        # no float64 copy of the rows (n * p * 8 bytes, 20 MB) and no N x C
+        # array: neither the scores (16 MB in float32) nor a mask (4 MB)
+        monkeypatch.setattr(collapse, "_block_rows", lambda width: 256)
+        rng = np.random.default_rng(16)
+        n, c, p = 20_000, 200, 128
+        x = rng.standard_normal((n, p)).astype(np.float32)
+        head = ClassifierHead(weights=rng.standard_normal((c, p)), bias=rng.standard_normal(c))
+        labels, peak = self._peak(lambda: _linear_labels(x, head))
+        assert peak < n * c / 4
+        assert np.array_equal(labels, np.argmax(x.astype(np.float64) @ head.weights.T + head.bias,
+                                                axis=1))
 
 
 class TestLift:
