@@ -23,8 +23,6 @@ __all__ = [
     "DistanceMatrix",
     "Hierarchy",
     "graph_distance_matrix",
-    "iter_lines",
-    "open_text",
     "parse_hierarchy",
 ]
 

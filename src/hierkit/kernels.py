@@ -145,26 +145,43 @@ def _group_minima(d: np.ndarray, starts: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def _pooled(task, items: range, scratch=None) -> None:
+    """``task(item, *buffers)`` for each of ``items`` on one thread per usable CPU,
+    never more threads than items: thread w takes items w, w + W, ... with the
+    buffers of one ``scratch()`` call made on the calling thread, since glibc
+    gives each thread that allocates its own heap arena (step-test temporaries
+    made on the workers raise the ``cover`` bench's peak memory by 5 MB).  Tasks
+    write disjoint rows and set their own ``errstate``, which no thread inherits."""
+    workers = max(1, min(_usable_cpus(), len(items)))
+    held = [scratch() if scratch else () for _ in range(workers)]
+
+    def run(w: int) -> None:
+        for item in items[w::workers]:
+            task(item, *held[w])
+
+    if workers == 1:
+        return run(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(workers)))
+
+
 def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """:func:`_sq_minima` of every row of ``x``.
 
-    Row blocks run on one thread per usable CPU, never more threads than blocks.
-    :func:`_sq_distances` releases the GIL and each of its rows does not depend
-    on the rest of the call, so the result is bit for bit the serial one.  The
-    blocks in flight hold about 2**22 distances (32 MB) together; the refs are
-    transposed once for all of them.
+    Row blocks run on the threads of :func:`_pooled`.  :func:`_sq_distances`
+    releases the GIL and each of its rows does not depend on the rest of the
+    call, so the result is bit for bit the serial one.  The blocks in flight
+    hold about 2**22 distances (32 MB) together; the refs are transposed once
+    for all of them.
     """
     refs = _transposed(refs).T
     out = np.empty((x.shape[0], len(starts)))
-    cpus = _usable_cpus()
-    rows = max(1, _block_rows(refs.shape[0]) // cpus)
+    rows = max(1, _block_rows(refs.shape[0]) // _usable_cpus())
 
     def fill(lo: int) -> None:
         _sq_minima(x[lo:lo + rows], refs, starts, out=out[lo:lo + rows])
 
-    blocks = range(0, x.shape[0], rows)
-    with ThreadPoolExecutor(max_workers=max(1, min(cpus, len(blocks)))) as pool:
-        list(pool.map(fill, blocks))
+    _pooled(fill, range(0, x.shape[0], rows))
     return out
 
 
@@ -174,6 +191,31 @@ def _block_rows(width: int) -> int:
     array: a block's distances or scores, one per ref, or, where the block's
     rows are cast to float64, its row copy, one value per dimension."""
     return max(1, 2**22 // max(1, width))
+
+
+def _thresholds(grid: np.ndarray) -> np.ndarray:
+    """t[g], the least float64 c with sqrt(c) >= grid[g] for a sorted float64
+    ``grid``, or -inf where grid[g] <= 0.  Correctly rounded ``sqrt`` is
+    monotone, so sqrt(c) >= grid[g] exactly when c >= t[g], t is sorted, and
+    searchsorted(t, c, "right") == searchsorted(grid, sqrt(c), "right") for every
+    c >= 0 or nan: every value a squared distance can take.
+
+    t[g] starts at grid[g] * grid[g] (inf where it overflows) and moves one float
+    down while the float below has sqrt >= grid[g], or up while its own sqrt <
+    grid[g].  The tests are monotone in t and exclude each other, so it moves one
+    way and stops, by the smallest subnormal or inf at the latest, at the least
+    such c.  On linspace grids ending at 5e-324 to 1e300 it moves one float at most.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # g * g beyond float64; sqrt below 0
+        t = np.where(grid > 0, grid * grid, -np.inf)
+        live = np.flatnonzero(grid > 0)
+        while live.size:
+            c, g = t[live], grid[live]
+            below = np.nextafter(c, -np.inf)
+            down, up = np.sqrt(below) >= g, np.sqrt(c) < g
+            t[live] = np.where(down, below, np.where(up, np.nextafter(c, np.inf), c))
+            live = live[down | up]
+    return t
 
 
 def _screen_slack(xx: np.ndarray, rr_max: float, p: int) -> np.ndarray:
@@ -356,13 +398,15 @@ class GroupScreen:
     needs of the exact minimum c[i, g] without computing it.
 
     One GEMM per row block of :func:`_block_rows` rows (:func:`_screen_block`)
-    and the minimum over each group (:func:`_group_minima`) give the screened minima
-    ``minima[i, g]`` and each row's bound ``slack[i]`` = E.  Every screened value
-    of a row is within E of its exact value, so |minima - c| <= E as well,
-    and c lies in [s - E, s + E].  Rounding to nearest is monotone, so the
-    computed ends still enclose c; each is moved one float further out with
-    ``np.nextafter``, a margin beyond the proof, and the low end is clipped at 0.
-    E is inf on rows that the bound does not cover, so nothing settles there.
+    and the minimum over each group (:func:`_group_minima`, one row part per
+    thread of :func:`_pooled`) give the screened minima ``minima[i, g]`` and each
+    row's bound ``slack[i]`` = E.  Every screened value of a row is within E of
+    its exact value, so |minima - c| <= E as well, and c lies in [s - E, s + E].
+    Rounding to nearest is monotone, so the computed ends still enclose c, and
+    they do so for any larger E: the step test widens each row's E by two
+    floats of the largest end in the row, a margin beyond the proof that moves
+    every computed end at least one float further out.  E is inf on rows that
+    the bound does not cover, so nothing settles there.
     """
 
     def __init__(self, x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> None:
@@ -377,7 +421,9 @@ class GroupScreen:
             for lo in range(0, len(x), rows):
                 s, self.slack[lo:lo + rows] = _screen_block(
                     x[lo:lo + rows].astype(np.float64, copy=False), self.refs, rr)
-                _group_minima(s, starts, out=self.minima[lo:lo + rows])
+                part, minima = -(-len(s) // _usable_cpus()), self.minima[lo:lo + len(s)]
+                _pooled(lambda a: _group_minima(s[a:a + part], starts, out=minima[a:a + part]),
+                        range(0, len(s), part))
                 del s  # so that no two blocks are held at once
 
     def largest_minimum(self) -> float:
@@ -399,31 +445,49 @@ class GroupScreen:
         for the exact minima c = min_sq_distances(x, refs, starts) and a sorted
         ``grid`` with grid[-1] > 0.
 
-        Correctly rounded ``sqrt`` is monotone, so c in [low, high] puts sqrt(c) in
-        [sqrt(low), sqrt(high)].  A pair is settled, with index j + 1, when
-        grid[j] <= sqrt(low) and sqrt(high) < grid[j + 1] (or j is the last grid
-        point).  j is guessed as if the grid were ``linspace(0, grid[-1],
-        len(grid))``, as the cover's is; a wrong guess, a grid point inside the
+        That index is searchsorted(t, c, side="right") for the squared thresholds
+        t of :func:`_thresholds`, so c in [low, high] = [s - E, s + E], E widened
+        per row as above, settles with no ``sqrt`` of its ends: with index j + 1
+        when t[j] <= low and high < t[j + 1] (or j is the last grid point).  j is
+        guessed from sqrt(high) as if the grid were ``linspace(0, grid[-1],
+        len(grid))``, as the cover's is; a wrong guess, a threshold inside the
         interval, and a row without a bound (high is inf or nan) leave the pair
         unsettled.  Unsettled rows, those with any unsettled pair, take their
-        exact row: every index of the row comes from :func:`_sq_minima`.  Works
-        per row block of :func:`_block_rows` rows, as the screen does.
+        exact row: searchsorted(t, c) of its :func:`_sq_minima` row.  The test
+        runs on :func:`_pooled` in row slices of a 64th of a :func:`_block_rows`
+        block, 2**16 values, whose 1.7 MB of buffers stay in a 2 MB L2 cache.
         """
-        upper = np.append(grid[1:], np.inf)
+        t = _thresholds(grid)
+        upper = np.append(t[1:], np.inf)
         with np.errstate(over="ignore"):
             scale = (len(grid) - 1) / grid[-1]
-        rows = _block_rows(len(self.refs))
-        for lo in range(0, len(self.x), rows):
-            s, e = self.minima[lo:lo + rows], self.slack[lo:lo + rows, None]
+        shape = (_block_rows(64 * len(self.starts)), len(self.starts))
+        unsettled = np.zeros(len(self.x), dtype=bool)
+
+        def test(lo: int, end, ref, j, ok) -> None:
+            s = self.minima[lo:lo + shape[0]]
+            end, ref, j, ok = (a[:len(s)] for a in (end, ref, j, ok))
             with np.errstate(over="ignore", invalid="ignore"):
-                high = np.sqrt(np.nextafter(s + e, np.inf))
-                low = np.sqrt(np.maximum(np.nextafter(s - e, -np.inf), 0.0))
-                j = np.fmin(high * scale, len(grid) - 1).astype(np.intp)
-            out[lo:lo + rows] = j + 1
-            unsettled = lo + np.flatnonzero(~((grid[j] <= low) & (high < upper[j])).all(axis=1))
-            if unsettled.size:
-                exact = _sq_minima(self.x[unsettled], self.refs, self.starts)
-                out[unsettled] = np.searchsorted(grid, np.sqrt(exact), side="right")
+                # E and two floats of the row's largest end, at most max(s, 0) + 2E
+                e = self.slack[lo:lo + len(s)]
+                e = (e + 2 * np.spacing(np.maximum(s.max(axis=1), 0.0) + 2 * e))[:, None]
+                np.sqrt(np.add(s, e, out=end), out=ref)  # end: high
+                np.fmin(np.multiply(ref, scale, out=ref), len(grid) - 1, out=ref)
+                np.copyto(j, ref, casting="unsafe")
+                settled = np.less(end, upper.take(j, out=ref, mode="clip"), out=ok).all(axis=1)
+                np.subtract(s, e, out=end)  # low
+                settled &= np.less_equal(t.take(j, out=ref, mode="clip"), end, out=ok).all(axis=1)
+            unsettled[lo:lo + len(s)] = ~settled
+            np.add(j, 1, out=out[lo:lo + len(s)], casting="unsafe")
+
+        _pooled(test, range(0, len(self.x), shape[0]), lambda: (
+            np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp),
+            np.empty(shape, dtype=bool)))
+        unsettled = np.flatnonzero(unsettled)
+        rows = _block_rows(len(self.refs))
+        for lo in range(0, unsettled.size, rows):
+            exact = _sq_minima(self.x[unsettled[lo:lo + rows]], self.refs, self.starts)
+            out[unsettled[lo:lo + rows]] = np.searchsorted(t, exact, side="right")
 
 
 def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:

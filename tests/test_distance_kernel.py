@@ -13,6 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 import hierkit.kernels as kernels
@@ -20,8 +21,8 @@ import hierkit.manifold as manifold
 from hierkit.collapse import ClassStats, nearest_mean_labels
 from hierkit.kernels import (GroupScreen, _block_rows, _screen_block, _screen_slack,
                              min_sq_distances, nearest_refs)
-from hierkit.manifold import (CoverConfig, FeatureSet, _grid_integrals, cover_similarity,
-                              split_query_support)
+from hierkit.manifold import (CoverConfig, FeatureSet, _grid_integrals, _sort_columns,
+                              cover_similarity, split_query_support)
 
 
 def _etf_case():
@@ -202,6 +203,21 @@ def test_pattern_integral_matches_the_loop(counts, n_support, grid_points):
     assert (mins > r_max).any() and np.isin(mins, grid).any()
     got = _grid_integrals(_padded_steps(mins, grid), labels, grid) / r_max
     assert np.array_equal(got, _loop_grid_values(mins, labels, grid, r_max))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data(), dtype=st.sampled_from([np.uint8, np.uint16]), k=st.integers(1, 12))
+def test_network_sort_is_numpy_sort(data, dtype, k):
+    # The step indices of a class padded to the largest class: runs of the pad
+    # value len(grid) + 1 in any row, up to the largest value of the dtype.
+    pad = data.draw(st.integers(1, int(np.iinfo(dtype).max)), label="pad")
+    m = data.draw(st.integers(1, 30), label="columns")
+    values = st.one_of(st.just(pad), st.integers(0, pad), st.integers(0, 3))
+    a = np.array(data.draw(st.lists(values, min_size=k * m, max_size=k * m)),
+                 dtype=dtype).reshape(k, m)
+    want = np.sort(a, axis=0)
+    _sort_columns(a)
+    assert a.dtype == dtype and np.array_equal(a, want)
 
 
 def _step_sequences(mins, labels, grid, sort):
@@ -493,6 +509,80 @@ def test_hard_grids_reach_the_exact_fallback(monkeypatch):
         rows.clear()
         _screened_steps(x, refs, starts, grids[name])
         assert rows, name
+
+
+def _check_thresholds(grid):
+    # t[g] is the least float whose square root reaches grid[g], and every c a
+    # squared distance can be (>= 0 or nan) takes the index of sqrt(c) from t.
+    t = kernels._thresholds(grid)
+    positive = grid > 0
+    assert (t[~positive] == -np.inf).all() and (t[1:] >= t[:-1]).all()
+    with np.errstate(invalid="ignore"):
+        assert (np.sqrt(t[positive]) >= grid[positive]).all()
+        assert (np.sqrt(np.nextafter(t[positive], -np.inf)) < grid[positive]).all()
+        c = np.r_[t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), 0.0, -0.0, np.inf, np.nan]
+        c = c[~(c < 0)]
+        want = np.searchsorted(grid, np.sqrt(c), side="right")
+    assert np.array_equal(np.searchsorted(t, c, side="right"), want)
+
+
+# subnormal and normal ends, and ends whose square underflows or overflows
+_THRESHOLD_ENDS = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-160, 1.4916681462400413e-154,
+                   1e-150, 0.3, 1.0, 89.5, 1.3407807929942596e154, 1.3407807929942597e154,
+                   1e155, 1e200, 1e300]
+
+
+@pytest.mark.parametrize("n", [2, 3, 200, 1001])
+@pytest.mark.parametrize("r", _THRESHOLD_ENDS)
+def test_squared_thresholds_give_the_steps_of_the_roots(r, n):
+    _check_thresholds(np.linspace(0.0, r, n))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(r=st.floats(min_value=5e-324, max_value=1e300), n=st.sampled_from([2, 3, 200, 1001]))
+def test_squared_thresholds_hold_for_any_linspace_end(r, n):
+    _check_thresholds(np.linspace(0.0, r, n))
+
+
+def test_grid_cover_does_not_depend_on_the_worker_count(monkeypatch):
+    # Blocks and step slices of 5 rows, integral chunks of 5 patterns: each
+    # block splits into one part per worker, and every worker takes several
+    # slices and chunks.  Without r_max the row holding the largest minimum has
+    # a threshold inside its interval, so it is refined.
+    rng = np.random.default_rng(14)
+    c, k, p = 30, 5, 16
+    labels = np.repeat(np.arange(c), 2 * k)
+    vectors = rng.standard_normal((c, p))[labels] * 3.0 + rng.standard_normal((len(labels), p))
+    query, support = split_query_support(FeatureSet(vectors, labels, c), CoverConfig(k=k))
+    order = np.argsort(support.labels, kind="stable")
+    starts = np.searchsorted(support.labels[order], np.arange(c))
+    monkeypatch.setattr(kernels, "_block_rows", lambda width: 5)
+    monkeypatch.setattr(manifold, "_block_rows", lambda width: 5)
+    exact, got = kernels._sq_minima, []
+
+    def recording(x, *args, **kwargs):
+        refined.append(len(x))
+        return exact(x, *args, **kwargs)
+
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        sim = cover_similarity(query, support, CoverConfig(k=k, grid_points=50))
+        grid = np.linspace(0.0, sim.r_max, 50)
+        screen = GroupScreen(query.vectors, support.vectors[order], starts)
+        steps = np.zeros((len(query), c), dtype=np.uint8)
+        refined = []
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_sq_minima", recording)
+            screen.step_indices(grid, steps)
+        assert 1 <= sum(refined) < len(query)
+        got.append((sim.values, sim.r_max, steps))
+    values, r_max, steps = got[0]
+    assert np.array_equal(steps, _exact_steps(query.vectors, support.vectors[order], starts, grid)[0])
+    assert len(np.unique(values)) > 100
+    for other_values, other_r_max, other_steps in got[1:]:
+        assert np.array_equal(other_values.view(np.uint64), values.view(np.uint64))
+        assert other_r_max == r_max
+        assert np.array_equal(other_steps, steps)
 
 
 def _one_float_off(c, slack, sign):
