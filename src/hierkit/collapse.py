@@ -10,6 +10,11 @@ NC4 compares two readouts whose labels hierkit defines by its own exact
 float64 sums (``kernels._sq_distances`` and ``kernels._pair_dots``), each
 screened by one float32 or float64 GEMM per row block under a proven bound, so
 neither depends on the BLAS build, its thread count or the row blocking.
+
+Desk-sized scatter products and pseudoinverses hold the BLAS at one thread
+(``kernels._one_blas_thread``): only at shapes where numpy's bundled OpenBLAS
+gives the same bits on one thread as on two, so the pin changes their time and
+not their output.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import _block_rows, _pair_dots, _score_slack, _settle, nearest_refs
+from .kernels import (_block_rows, _one_blas_thread, _pair_dots, _score_slack, _settle,
+                      nearest_refs)
 from .manifold import FeatureSet
 
 if TYPE_CHECKING:
@@ -65,8 +71,7 @@ class ClassStats:
         for name, m in (("sigma_w", self.sigma_w), ("sigma_b", self.sigma_b)):
             if m.shape != (p, p):
                 raise ValueError(f"{name} must be {p}x{p}")
-            if not (np.array_equal(m, m.T)
-                    or np.allclose(m, m.T, atol=1e-10 * max(1.0, float(np.abs(m).max())))):
+            if not _symmetric(m):
                 raise ValueError(f"{name} is not symmetric")
 
     @property
@@ -76,6 +81,24 @@ class ClassStats:
     @property
     def dimension(self) -> int:
         return int(self.class_means.shape[1])
+
+
+def _symmetric(m: np.ndarray) -> bool:
+    """``m`` equals its transpose, or is ``np.allclose`` to it within an absolute
+    tolerance of 1e-10 times max(1, max |m|).
+
+    A finite tolerance that bounds every |m - m.T| accepts first, with one pass
+    and no ``allclose``: allclose would accept too, as it allows that much and
+    more.  A nan or an inf in ``m`` makes the bound or the tolerance non-finite,
+    and so does a difference that overflows; those matrices take the full test.
+    """
+    if np.array_equal(m, m.T):
+        return True
+    atol = 1e-10 * max(1.0, float(np.abs(m).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if atol < np.inf and np.abs(m - m.T).max() <= atol:
+            return True
+    return np.allclose(m, m.T, atol=atol)
 
 
 @dataclass
@@ -173,9 +196,11 @@ def class_statistics(f: FeatureSet) -> ClassStats:
     global_mean = f.vectors.mean(axis=0, dtype=np.float64)
     dev_w = class_means[f.labels]
     np.subtract(f.vectors, dev_w, out=dev_w)
-    sigma_w = dev_w.T @ dev_w / n
-    dev_b = class_means - global_mean
-    sigma_b = dev_b.T @ dev_b / c
+    # the N x p and C x p products keep their bits on one thread up to here
+    with _one_blas_thread(n <= 2048 and f.dimension <= 64):
+        sigma_w = dev_w.T @ dev_w / n
+        dev_b = class_means - global_mean
+        sigma_b = dev_b.T @ dev_b / c
     return ClassStats(global_mean=global_mean, class_means=class_means,
                       counts=counts, sigma_w=sigma_w, sigma_b=sigma_b)
 
@@ -190,7 +215,8 @@ def nc1(stats: ClassStats) -> float:
     c = stats.class_count
     p = stats.dimension
     rcond = 1e-10 * max(p, c)
-    pinv = np.linalg.pinv(stats.sigma_b, rcond=rcond, hermitian=True)
+    with _one_blas_thread(p <= 64):  # the Hermitian pinv keeps its bits up to here
+        pinv = np.linalg.pinv(stats.sigma_b, rcond=rcond, hermitian=True)
     return float(np.einsum("ij,ji->", stats.sigma_w, pinv) / c)
 
 
@@ -329,11 +355,13 @@ def lift_to_superclass(stats: ClassStats, head: Optional[ClassifierHead],
 
     counts_s = np.bincount(table, weights=stats.counts, minlength=s_count).astype(np.int64)
     dev_b = means_s - stats.global_mean
-    sigma_b = dev_b.T @ dev_b / s_count
-
     n_total = float(stats.counts.sum())
     dev = stats.class_means - means_s[table]
-    sigma_w = stats.sigma_w + (dev * (stats.counts / n_total)[:, None]).T @ dev
+    p = stats.dimension
+    # the S x p product and the p x C x p GEMM keep their bits on one thread up to here
+    with _one_blas_thread(c <= 2048 and p <= 64 and c * p * p <= 2**18):
+        sigma_b = dev_b.T @ dev_b / s_count
+        sigma_w = stats.sigma_w + (dev * (stats.counts / n_total)[:, None]).T @ dev
 
     lifted = ClassStats(global_mean=stats.global_mean, class_means=means_s,
                         counts=counts_s, sigma_w=sigma_w, sigma_b=sigma_b)

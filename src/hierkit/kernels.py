@@ -11,11 +11,16 @@ bound (``_screen_slack``): in float64, except that ``nearest_refs`` screens
 float32 rows in float32.  The linear readout screens its scores the same way,
 under ``_score_slack``.  Rows the bound settles take the screened answer
 (``_settle`` for both readouts); unsettled rows take their exact values.
+``_pooled`` is the one thread pool, and ``_one_blas_thread`` the one pin of the
+BLAS at one thread.
 """
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -32,6 +37,67 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+# numpy's bundled OpenBLAS thread-count (getter, setter), looked up on first use:
+# None until then, () where absent
+_blas_threads = None
+_pin_lock = threading.Lock()
+_pin_holders = 0  # threads inside _one_blas_thread(True)
+_pin_saved = 1  # the thread count the last holder restores
+
+
+def _blas_thread_api() -> tuple:
+    """``scipy_openblas_{get,set}_num_threads64_`` of the OpenBLAS that numpy
+    bundles, found through ``ctypes`` in numpy's own extension module (which
+    links it) on the first call, or () where the library or the symbols are
+    absent: a conda, MKL or Accelerate numpy, or a platform whose loader does
+    not search a module's dependencies."""
+    global _blas_threads
+    if _blas_threads is None:
+        try:
+            from numpy._core import _multiarray_umath
+            lib = ctypes.CDLL(_multiarray_umath.__file__)
+            get, put = (lib.scipy_openblas_get_num_threads64_,
+                        lib.scipy_openblas_set_num_threads64_)
+        except (ImportError, OSError, AttributeError):
+            _blas_threads = ()
+        else:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            _blas_threads = (get, put)
+    return _blas_threads
+
+
+@contextmanager
+def _one_blas_thread(pin: bool = True):
+    """Hold the BLAS at one thread for the body of the ``with``, if ``pin``.
+
+    Reference-counted across threads: the first holder saves the thread count
+    and sets 1, and the last to leave restores it, exception or not.  The count
+    is process-wide, so while anyone holds the pin every BLAS call of the
+    process runs on one thread and gives its one-thread bits.  Callers pin only
+    shapes whose bits the thread count does not change on numpy's bundled
+    OpenBLAS, so the pin changes their time, not their output.  It does nothing
+    where :func:`_blas_thread_api` finds no symbols.
+    """
+    global _pin_holders, _pin_saved
+    api = _blas_thread_api() if pin else ()
+    if api:
+        get, put = api
+        with _pin_lock:
+            if _pin_holders == 0:
+                _pin_saved = get()
+                put(1)
+            _pin_holders += 1
+    try:
+        yield
+    finally:
+        if api:
+            with _pin_lock:
+                _pin_holders -= 1
+                if _pin_holders == 0:
+                    put(_pin_saved)
 
 
 def _line_rows(rows: int, width: int) -> np.ndarray:
@@ -145,24 +211,43 @@ def _group_minima(d: np.ndarray, starts: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _pooled(task, items: range, scratch=None) -> None:
+def _pooled(task, items: range, scratch=None, blas: bool = False) -> None:
     """``task(item, *buffers)`` for each of ``items`` on one thread per usable CPU,
     never more threads than items: thread w takes items w, w + W, ... with the
     buffers of one ``scratch()`` call made on the calling thread, since glibc
     gives each thread that allocates its own heap arena (step-test temporaries
     made on the workers raise the ``cover`` bench's peak memory by 5 MB).  Tasks
-    write disjoint rows and set their own ``errstate``, which no thread inherits."""
+    write disjoint rows and set their own ``errstate``, which no thread inherits.
+
+    Two or more threads run under :func:`_one_blas_thread`, so that a task's
+    BLAS call runs on the task's own thread and wakes no BLAS worker onto a core
+    that the pool needs.  Tasks that call the BLAS
+    (``blas=True``) run serially where that pin is absent, since two threaded
+    calls at once would oversubscribe the cores.  A failing task stops its
+    thread, and the error raised is that of the first failing item, as in a
+    serial loop.
+    """
     workers = max(1, min(_usable_cpus(), len(items)))
+    if blas and not _blas_thread_api():
+        workers = 1
     held = [scratch() if scratch else () for _ in range(workers)]
+    failed: dict = {}
 
     def run(w: int) -> None:
         for item in items[w::workers]:
-            task(item, *held[w])
+            try:
+                task(item, *held[w])
+            except Exception as e:  # each thread's items come in order
+                failed[item] = e
+                return
 
     if workers == 1:
-        return run(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(workers)))
+        run(0)
+    else:
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, range(workers)))
+    if failed:
+        raise failed[min(failed)]
 
 
 def min_sq_distances(x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .collapse import nearest_mean_labels
 from .hierarchy import Hierarchy, iter_lines
+from .kernels import _one_blas_thread, _pooled
 from .labelspace import LabelSpace
 from .manifold import FeatureSet
 from .metrics import PredictionLog
@@ -124,7 +125,8 @@ def gen_hierarchical_trajectory(h: Hierarchy, s: LabelSpace,
     hyponym_gap(t) * (class direction); examples add isotropic noise of std
     noise(t).  Anchor and class directions are drawn once from the seed and
     orthonormalized jointly, so the two separation knobs stay uncorrelated.
-    Epoch substreams make generation order-independent.
+    Epoch substreams make generation order-independent, so the epochs are
+    drawn on the threads of ``kernels._pooled`` with the serial loop's bits.
     """
     c = h.class_count
     if s.class_count != c:
@@ -135,22 +137,28 @@ def gen_hierarchical_trajectory(h: Hierarchy, s: LabelSpace,
         raise ValueError(f"dimension must be >= superclasses + classes = {s_count + c}, got {p}")
 
     rng = substream(params.seed, 0)
-    basis = np.linalg.qr(rng.standard_normal((p, s_count + c)))[0]
+    with _one_blas_thread(p <= 128):  # the qr keeps its bits up to here
+        basis = np.linalg.qr(rng.standard_normal((p, s_count + c)))[0]
     anchors = basis[:, :s_count].T
     class_dirs = basis[:, s_count:].T
 
     n = params.examples_per_class
     labels = np.repeat(np.arange(c), n)
-    out: list[FeatureSet] = []
-    for t in range(1, params.epochs + 1):
+    out: list[FeatureSet] = [None] * params.epochs
+
+    def epoch(t: int) -> None:
         g_s = params.hypernym_gap_schedule[t - 1]
         g_h = params.hyponym_gap_schedule[t - 1]
         sigma = params.noise_schedule[t - 1]
         means = g_s * anchors[table] + g_h * class_dirs
         vectors = np.repeat(means, n, axis=0)
-        if sigma > 0:
-            vectors = vectors + sigma * substream(params.seed, t).standard_normal((c * n, p))
-        out.append(FeatureSet(vectors=vectors, labels=labels, class_count=c, epoch=t))
+        if sigma > 0:  # in place: the bits of vectors + sigma * noise, with fewer temporaries
+            noise = substream(params.seed, t).standard_normal((c * n, p))
+            noise *= sigma
+            vectors += noise
+        out[t - 1] = FeatureSet(vectors=vectors, labels=labels, class_count=c, epoch=t)
+
+    _pooled(epoch, range(1, params.epochs + 1))
     return out
 
 
@@ -266,7 +274,9 @@ def ncc_prediction_log(feature_sets) -> PredictionLog:
     """Reclassify each epoch's features by its own nearest class mean.
 
     The bridge from feature trajectories to accuracy curves: a cheap readout
-    whose per-epoch predictions can be projected into any label space.
+    whose per-epoch predictions can be projected into any label space.  The
+    epochs run on the threads of ``kernels._pooled``, or serially where the
+    BLAS cannot be pinned to one thread; the labels are the same either way.
     """
     feature_sets = list(feature_sets)
     if not feature_sets:
@@ -276,7 +286,13 @@ def ncc_prediction_log(feature_sets) -> PredictionLog:
         raise ValueError("feature sets disagree on class_count")
     sizes = [len(f) for f in feature_sets]
     ids = np.array([f"e{j}" for j in range(max(sizes))])
-    pred = np.concatenate([nearest_mean_labels(f) for f in feature_sets])
+    bounds = np.cumsum([0] + sizes)
+    pred = np.empty(bounds[-1], dtype=np.intp)
+
+    def readout(i: int) -> None:
+        pred[bounds[i]:bounds[i + 1]] = nearest_mean_labels(feature_sets[i])
+
+    _pooled(readout, range(len(feature_sets)), blas=True)
     epochs = [f.epoch if f.epoch is not None else i + 1 for i, f in enumerate(feature_sets)]
     return PredictionLog(epochs=np.repeat(np.array(epochs, dtype=np.int64), sizes),
                          example_ids=np.concatenate([ids[:n] for n in sizes]),

@@ -108,6 +108,79 @@ class TestClassStatistics:
                        sigma_b=np.zeros((2, 2)))
 
 
+def _off_diagonal(a, b):
+    """A 3 x 3 matrix with 1 on the diagonal, a at [0, 1] and b at [1, 0]."""
+    m = np.eye(3)
+    m[0, 1], m[1, 0] = a, b
+    return m
+
+
+SYMMETRY_CASES = {
+    "symmetric": (_off_diagonal(0.3, 0.3), True),
+    "near_symmetric": (_off_diagonal(0.3, 0.3 + 5e-11), True),
+    "past_atol_within_rtol": (_off_diagonal(0.3, 0.3 + 1e-6), True),
+    "asymmetric": (_off_diagonal(0.3, 0.4), False),
+    "scaled_near_symmetric": (_off_diagonal(1e20, 1e20 * (1 + 1e-12)), True),
+    "inf_symmetric": (_off_diagonal(np.inf, np.inf), True),
+    "inf_against_finite": (_off_diagonal(np.inf, 1.0), False),
+    "inf_against_minus_inf": (_off_diagonal(np.inf, -np.inf), False),
+    "inf_elsewhere_near_symmetric": (_off_diagonal(0.3, 0.3 + 5e-11) + np.diag([np.inf, 0, 0]),
+                                     True),
+    "nan": (_off_diagonal(np.nan, np.nan), False),
+    "nan_on_the_diagonal": (np.diag([np.nan, 1.0, 1.0]), False),
+    "difference_overflows": (_off_diagonal(1e308, -1e308), False),
+}
+
+
+class TestSymmetryCheck:
+    """``collapse._symmetric`` accepts exactly what equality or allclose accepts."""
+
+    @staticmethod
+    def _reference(m):
+        return bool(np.array_equal(m, m.T) or np.allclose(
+            m, m.T, atol=1e-10 * max(1.0, float(np.abs(m).max()))))
+
+    @pytest.mark.parametrize("case", sorted(SYMMETRY_CASES))
+    def test_accepts_what_allclose_accepts(self, case):
+        # and warns no more: allclose itself warns about an inf tolerance
+        m, symmetric = SYMMETRY_CASES[case]
+        with warnings.catch_warnings(record=True) as new:
+            warnings.simplefilter("always")
+            assert collapse._symmetric(m) is symmetric
+        with warnings.catch_warnings(record=True) as old:
+            warnings.simplefilter("always")
+            assert self._reference(m) is symmetric
+        assert [str(w.message) for w in new] == [str(w.message) for w in old]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:One of rtol or atol:RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(SYMMETRY_CASES))
+    def test_stats_refuse_what_the_check_refuses(self, case):
+        m, symmetric = SYMMETRY_CASES[case]
+        make = lambda: ClassStats(global_mean=np.zeros(3), class_means=np.zeros((2, 3)),
+                                  counts=[1, 1], sigma_w=m, sigma_b=np.eye(3))
+        if symmetric:
+            make()
+        else:
+            with pytest.raises(ValueError, match="^sigma_w is not symmetric$"):
+                make()
+
+    def test_lifted_desk_statistics_skip_allclose(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        labels = np.repeat(np.arange(60), 20)
+        f = FeatureSet(rng.standard_normal((60, 64))[labels] + rng.standard_normal((1200, 64)),
+                       labels, 60)
+        space = LabelSpace(name="s", table=np.arange(60) // 20)
+        stats = class_statistics(f)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allclose ran")
+
+        monkeypatch.setattr(np, "allclose", refuse)
+        lifted, _ = lift_to_superclass(stats, None, space)
+        assert not np.array_equal(lifted.sigma_w, lifted.sigma_w.T)
+
+
 class TestNc1:
     def test_zero_within_scatter(self):
         st = _stats([[-1.0], [1.0]], sigma_w=np.zeros((1, 1)))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hierkit.kernels as kernels
 import hierkit.synth as synth
 from hierkit.collapse import class_statistics, lift_to_superclass, nc1, nearest_mean_labels
 from hierkit.hierarchy import graph_distance_matrix, parse_hierarchy
@@ -123,6 +124,63 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="label space covers"):
             gen_hierarchical_trajectory(h, other, default_trajectory_params(
                 epochs=2, dimension=16, examples_per_class=2, seed=0))
+
+
+def _serial_trajectory(h, s, params):
+    """The epochs one after another, as a plain loop draws them."""
+    c, p, n = h.class_count, params.dimension, params.examples_per_class
+    q = np.linalg.qr(substream(params.seed, 0).standard_normal((p, s.superclass_count + c)))[0]
+    anchors, class_dirs = q[:, :s.superclass_count].T, q[:, s.superclass_count:].T
+    out = []
+    for t in range(1, params.epochs + 1):
+        means = (params.hypernym_gap_schedule[t - 1] * anchors[s.table]
+                 + params.hyponym_gap_schedule[t - 1] * class_dirs)
+        vectors = np.repeat(means, n, axis=0)
+        sigma = params.noise_schedule[t - 1]
+        if sigma > 0:
+            vectors = vectors + sigma * substream(params.seed, t).standard_normal((c * n, p))
+        out.append(vectors)
+    return out
+
+
+class TestPooledEpochs:
+    """The epochs run on kernels._pooled and keep the serial loop's bits."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_trajectory_matches_the_serial_loop(self, monkeypatch, workers):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        h, s, _ = balanced_hierarchy(3, 4)
+        params = default_trajectory_params(epochs=7, dimension=20,
+                                           examples_per_class=5, seed=11)
+        got = gen_hierarchical_trajectory(h, s, params)
+        assert [f.epoch for f in got] == list(range(1, 8))
+        for f, want in zip(got, _serial_trajectory(h, s, params), strict=True):
+            assert f.vectors.tobytes() == want.tobytes()
+            assert np.array_equal(f.labels, np.repeat(np.arange(12), 5))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ncc_log_matches_the_serial_loop(self, monkeypatch, workers):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        h, s, _ = balanced_hierarchy(3, 4)
+        params = default_trajectory_params(epochs=7, dimension=20,
+                                           examples_per_class=5, seed=11)
+        sets = gen_hierarchical_trajectory(h, s, params)
+        log = ncc_prediction_log(sets)
+        want = np.concatenate([nearest_mean_labels(f) for f in sets])
+        assert log.pred_labels.dtype == want.dtype
+        assert np.array_equal(log.pred_labels, want)
+        assert np.array_equal(log.epochs, np.repeat(np.arange(1, 8), 60))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_ncc_log_raises_for_the_first_failing_epoch(self, monkeypatch, workers):
+        # epoch 2 lacks class 1 and epoch 3 class 2: a serial loop names class 1
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        rng = np.random.default_rng(0)
+        sets = [FeatureSet(rng.standard_normal((6, 3)), labels, 3)
+                for labels in ([0, 1, 2, 0, 1, 2], [0, 0, 2, 2, 0, 2], [0, 1, 1, 0, 1, 0],
+                               [0, 1, 2, 2, 1, 0])]
+        with pytest.raises(ValueError, match="^class 1 has no examples$"):
+            ncc_prediction_log(sets)
 
 
 class TestPredictionTrajectory:
