@@ -2,17 +2,17 @@
 
 ``_sq_distances`` is the one exact squared-distance sum, and ``_sq_minima``, its
 rows reduced over groups of refs, the one exact-distance call;
-``min_sq_distances`` runs it on every row.  ``_pair_dots`` is the one exact
-dot product, the same recipe with a product in place of the square of a
-difference: the linear scores of ``collapse._linear_labels``.  ``GroupScreen``
-(the grid cover's step indices and r_max) and ``nearest_refs`` (the NCC readout)
-screen with one GEMM per row block (``_screen_block``) under a proven error
-bound (``_screen_slack``): in float64, except that ``nearest_refs`` screens
-float32 rows in float32.  The linear readout screens its scores the same way,
-under ``_score_slack``.  Rows the bound settles take the screened answer
-(``_settle`` for both readouts); unsettled rows take their exact values.
-``_pooled`` is the one thread pool, and ``_one_blas_thread`` the one pin of the
-BLAS at one thread.
+``min_sq_distances`` runs it on every row.  ``_pair_dots`` is the one exact dot
+product, the same recipe with a product in place of the square of a difference:
+the linear scores of ``collapse._linear_labels``.  ``GroupScreen`` (the grid
+cover's step indices and r_max) and ``nearest_refs`` (the NCC readout) screen with
+one GEMM per row block (per pooled row slab in ``GroupScreen``; ``_screen_block``)
+under a proven error bound (``_screen_slack``): in float64, except that
+``nearest_refs`` screens float32 rows in float32.  The linear readout screens its
+scores the same way, under ``_score_slack``.  Rows the bound settles take the
+screened answer (``_settle`` for both readouts); unsettled rows take their exact
+values.  ``_pooled`` is the one thread pool, and ``_one_blas_thread`` the one pin
+of the BLAS at one thread.
 """
 from __future__ import annotations
 
@@ -482,16 +482,16 @@ class GroupScreen:
     and non-empty group g = refs[starts[g]:starts[g + 1]], what the grid cover
     needs of the exact minimum c[i, g] without computing it.
 
-    One GEMM per row block of :func:`_block_rows` rows (:func:`_screen_block`)
-    and the minimum over each group (:func:`_group_minima`, one row part per
-    thread of :func:`_pooled`) give the screened minima ``minima[i, g]`` and each
-    row's bound ``slack[i]`` = E.  Every screened value of a row is within E of
-    its exact value, so |minima - c| <= E as well, and c lies in [s - E, s + E].
-    Rounding to nearest is monotone, so the computed ends still enclose c, and
-    they do so for any larger E: the step test widens each row's E by two
-    floats of the largest end in the row, a margin beyond the proof that moves
-    every computed end at least one float further out.  E is inf on rows that
-    the bound does not cover, so nothing settles there.
+    Each :func:`_pooled` task screens as many rows as a :func:`min_sq_distances`
+    task with one GEMM on its own BLAS thread (:func:`_screen_block`) and takes each
+    group's minimum (:func:`_group_minima`): the screened minima ``minima[i, g]``
+    and each row's bound ``slack[i]`` = E, which holds in any summation order.  Every
+    screened value of a row is within E of its exact value, so |minima - c| <= E,
+    and c lies in [s - E, s + E].  Rounding to nearest is monotone, so the computed
+    ends still enclose c, and they do so for any larger E: the step test widens each
+    row's E by two floats of the largest end in the row, a margin beyond the proof
+    that moves every computed end at least one float further out.  E is inf on rows
+    that the bound does not cover, so nothing settles there.
     """
 
     def __init__(self, x: np.ndarray, refs: np.ndarray, starts: np.ndarray) -> None:
@@ -501,15 +501,15 @@ class GroupScreen:
         rr = np.einsum("ij,ij->i", self.refs, self.refs)
         self.minima = np.empty((len(x), len(starts)))
         self.slack = np.empty(len(x))
-        rows = _block_rows(len(refs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(x), rows):
+        rows = max(1, _block_rows(len(refs)) // _usable_cpus())
+
+        def fill(lo: int) -> None:
+            with np.errstate(over="ignore", invalid="ignore"):
                 s, self.slack[lo:lo + rows] = _screen_block(
                     x[lo:lo + rows].astype(np.float64, copy=False), self.refs, rr)
-                part, minima = -(-len(s) // _usable_cpus()), self.minima[lo:lo + len(s)]
-                _pooled(lambda a: _group_minima(s[a:a + part], starts, out=minima[a:a + part]),
-                        range(0, len(s), part))
-                del s  # so that no two blocks are held at once
+                _group_minima(s, starts, out=self.minima[lo:lo + rows])
+
+        _pooled(fill, range(0, len(x), rows), blas=True)
 
     def largest_minimum(self) -> float:
         """max(min_sq_distances(x, refs, starts)), bit for bit.

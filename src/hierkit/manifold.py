@@ -167,7 +167,7 @@ def cover_similarity(query: FeatureSet, support: FeatureSet,
     The exact method takes the minima from ``min_sq_distances``.  The grid method
     needs only each minimum's grid step index and, when cfg.r_max is None, the
     largest minimum.  A :class:`~hierkit.kernels.GroupScreen` gives both, bit for
-    bit, from one GEMM per row block; the r_max candidate rows and the rows its
+    bit, from one GEMM per pooled row slab; the r_max candidate rows and the rows its
     bounds leave unsettled take their exact row.  It writes the indices straight
     into the padded index array of :func:`_grid_integrals`, which groups the
     (class, support class) pairs by their sorted step indices with one lexsort,

@@ -8,6 +8,7 @@ step pattern, against the per-class loop that it replaced, and the screened
 step indices and r_max of the grid cover against those of the exact minima.
 """
 
+import threading
 import warnings
 import weakref
 
@@ -544,18 +545,25 @@ def test_squared_thresholds_hold_for_any_linspace_end(r, n):
     _check_thresholds(np.linspace(0.0, r, n))
 
 
-def test_grid_cover_does_not_depend_on_the_worker_count(monkeypatch):
-    # Blocks and step slices of 5 rows, integral chunks of 5 patterns: each
-    # block splits into one part per worker, and every worker takes several
-    # slices and chunks.  Without r_max the row holding the largest minimum has
-    # a threshold inside its interval, so it is refined.
+def _worker_cover_case():
+    """(query, support, order, starts) of a 30-class cover split, k = 5: 150
+    query rows.  On a 50-point grid that ends at the largest minimum, the row
+    holding it has a threshold inside its interval, so it is refined."""
     rng = np.random.default_rng(14)
     c, k, p = 30, 5, 16
     labels = np.repeat(np.arange(c), 2 * k)
     vectors = rng.standard_normal((c, p))[labels] * 3.0 + rng.standard_normal((len(labels), p))
     query, support = split_query_support(FeatureSet(vectors, labels, c), CoverConfig(k=k))
     order = np.argsort(support.labels, kind="stable")
-    starts = np.searchsorted(support.labels[order], np.arange(c))
+    return query, support, order, np.searchsorted(support.labels[order], np.arange(c))
+
+
+def test_grid_cover_does_not_depend_on_the_worker_count(monkeypatch):
+    # Blocks and step slices of 5 rows, integral chunks of 5 patterns: each
+    # block splits into one screen slab per worker, and every worker takes
+    # several slabs, slices and chunks.
+    query, support, order, starts = _worker_cover_case()
+    c, k = len(starts), 5
     monkeypatch.setattr(kernels, "_block_rows", lambda width: 5)
     monkeypatch.setattr(manifold, "_block_rows", lambda width: 5)
     exact, got = kernels._sq_minima, []
@@ -583,6 +591,55 @@ def test_grid_cover_does_not_depend_on_the_worker_count(monkeypatch):
         assert np.array_equal(other_values.view(np.uint64), values.view(np.uint64))
         assert other_r_max == r_max
         assert np.array_equal(other_steps, steps)
+
+
+@pytest.mark.parametrize("workers, absent", [(1, False), (2, False), (3, False), (2, True)],
+                         ids=["1", "2", "3", "2_no_pin"])
+def test_screen_slabs_give_the_exact_steps_and_r_max(monkeypatch, workers, absent):
+    # Each pooled task screens one slab of 7 rows, or the 3-row tail.  With two
+    # workers or more the tasks run on pool threads at one BLAS thread, and the
+    # count is restored after the screen; where the pin's symbols are absent
+    # (forced here) the slabs run one after another on the calling thread.  The
+    # steps, some of them refined, and r_max are those of the exact minima.
+    query, support, order, starts = _worker_cover_case()
+    x, refs = query.vectors, support.vectors[order]
+    mins = min_sq_distances(x, refs, starts)
+    grid = np.linspace(0.0, np.sqrt(mins.max()), 50)
+    if absent:
+        monkeypatch.setattr(kernels, "_blas_threads", ())
+    api = kernels._blas_thread_api()
+    count = api[0] if api else lambda: None
+    before = count()
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(kernels, "_block_rows", lambda width: 7 * workers)
+    calls, exact, refined = [], kernels._sq_minima, []
+
+    def spy(xb, refs, rr):
+        calls.append((len(xb), threading.get_ident(), count()))
+        return _screen_block(xb, refs, rr)
+
+    def recording(xa, *args, **kwargs):
+        refined.append(len(xa))
+        return exact(xa, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_screen_block", spy)
+        screen = GroupScreen(x, refs, starts)
+    assert count() == before
+    assert sorted(rows for rows, _, _ in calls) == [3] + [7] * 21
+    threads = {thread for _, thread, _ in calls}
+    if api and workers > 1:
+        assert threading.get_ident() not in threads
+        assert {c for _, _, c in calls} == {1}
+    else:
+        assert threads == {threading.get_ident()}
+    steps = np.zeros((len(x), len(starts)), dtype=np.uint8)
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_sq_minima", recording)
+        screen.step_indices(grid, steps)
+    assert 1 <= sum(refined) < len(x)
+    assert np.array_equal(steps, np.searchsorted(grid, np.sqrt(mins), side="right"))
+    assert screen.largest_minimum() == mins.max()
 
 
 def _one_float_off(c, slack, sign):
