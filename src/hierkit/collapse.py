@@ -6,10 +6,10 @@ unweighted averages over member classes, the between-class scatter is
 recomputed over superclass means, and the within-class scatter absorbs the
 class-to-superclass mean offsets.
 
-NC4 compares two readouts whose labels hierkit defines by its own exact
-float64 sums (``kernels._sq_distances`` and ``kernels._pair_dots``), each
-screened by one float32 or float64 GEMM per row block under a proven bound, so
-neither depends on the BLAS build, its thread count or the row blocking.
+NC4 compares two readouts, ``kernels.nearest_refs`` and
+``kernels._linear_labels``, whose labels are argmins of hierkit's own exact
+float64 sums, screened in the one loop ``kernels._screened_argmin``, so neither
+depends on the BLAS build, its thread count or the row blocking.
 
 Desk-sized scatter products and pseudoinverses hold the BLAS at one thread
 (``kernels._one_blas_thread``): only at shapes where numpy's bundled OpenBLAS
@@ -24,8 +24,7 @@ from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import (_block_rows, _one_blas_thread, _pair_dots, _score_slack, _settle,
-                      nearest_refs)
+from .kernels import _linear_labels, _one_blas_thread, nearest_refs
 from .manifold import FeatureSet
 
 if TYPE_CHECKING:
@@ -277,58 +276,17 @@ def nearest_mean_labels(f: FeatureSet, stats: Optional[ClassStats] = None) -> np
     return nearest_refs(f.vectors, means)
 
 
-def _linear_labels(x: np.ndarray, head: ClassifierHead) -> np.ndarray:
-    """argmax_c t_c per row of ``x``; ties go to the lower class index.
-
-    t_c is the exact score: the float64 sum, from +0.0, over the dimensions in
-    index order, of the rounded products x_i w_ci, plus b_c
-    (:func:`kernels._pair_dots`).  Row blocks of :func:`_block_rows` of the
-    wider of C (a block's scores) and p (its rows, a float64 copy unless they
-    are float32 or float64) rows keep only their labels, which therefore depend
-    neither on the blocking nor on the BLAS build or its thread count.  One
-    GEMM screens each block: in float32 for float32 rows, against W and b
-    rounded to float32 once and with no float64 copy of the rows, else in
-    float64.  Its bound E (:func:`kernels._score_slack`) settles each row with
-    one candidate class (:func:`kernels._settle`, on the negated scores); any
-    other row takes the argmax of the exact scores of its candidates only,
-    among which the exact winner always is.
-    """
-    w, b = head.weights, head.bias
-    dtype = np.float32 if x.dtype == np.float32 else np.float64
-    labels = np.empty(len(x), dtype=np.intp)
-    rows = _block_rows(max(w.shape))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the argmin of the screened -(x.w~ + b~) is its argmax, with the same ties
-        neg_w, neg_b = np.negative(w, dtype=dtype), np.negative(b, dtype=dtype)
-        ww_max, b_max = np.einsum("ij,ij->i", w, w).max(), np.abs(b).max()
-        for lo in range(0, len(x), rows):
-            xb = x[lo:lo + rows].astype(dtype, copy=False)
-            s = xb @ neg_w.T
-            s += neg_b
-            slack = _score_slack(np.einsum("ij,ij->i", xb, xb), ww_max, b_max, x.shape[1])
-            unsettled, near = _settle(s, slack, labels[lo:lo + rows])
-            del s  # so that no two blocks are held at once
-            if unsettled.size:
-                r, c = np.nonzero(near)
-                scores = np.full(near.shape, -np.inf)
-                scores[r, c] = _pair_dots(x, w, lo + unsettled[r], c) + b[c]
-                labels[lo + unsettled] = np.argmax(scores, axis=1)
-    return labels
-
-
 def nc4_mismatch(f: FeatureSet, stats: ClassStats, head: ClassifierHead) -> float:
     """Fraction of examples where the linear rule and NCC disagree.
 
-    Linear rule: argmax_c <w_c, h> + b_c (:func:`_linear_labels`).  NCC:
-    argmin_c ||h - mu_c|| (:func:`nearest_mean_labels`).  Both are the labels of
-    hierkit's exact float64 sums, found through a float32 screen for float32
-    features, so they do not depend on the BLAS build, its thread count or the
-    row blocking.  Ties break toward the lower class index in both rules.
-    Neither holds an N x C array or a float64 copy of the features.
+    Linear rule: argmax_c <w_c, h> + b_c (:func:`kernels._linear_labels`).  NCC:
+    argmin_c ||h - mu_c|| (:func:`nearest_mean_labels`).  Ties break toward the
+    lower class index in both rules, and neither holds an N x C array or a
+    float64 copy of the features.
     """
     if head.class_count != stats.class_count:
         raise ValueError("head row count does not match the number of classes")
-    linear = _linear_labels(f.vectors, head)
+    linear = _linear_labels(f.vectors, head.weights, head.bias)
     ncc = nearest_mean_labels(f, stats)
     return float(np.mean(linear != ncc))
 

@@ -248,11 +248,19 @@ def graph_distance_matrix(h: Hierarchy, classes: Iterable[int] | None = None) ->
     nbrs = heads[np.argsort(tails, kind="stable")]
     indptr = np.r_[0, np.cumsum(np.bincount(tails, minlength=len(index)))]
     nodes = np.array([index[h.class_index[cc]] for cc in labels], dtype=np.intp)
-    values = np.empty((len(labels), len(labels)))
+    # a class with one neighbour is one hop further than it from every other node,
+    # so it is searched from that neighbour
+    single = np.diff(indptr)[nodes] == 1
+    starts = nodes.copy()
+    starts[single] = nbrs[indptr[nodes[single]]]
+    sources, source_of = np.unique(starts, return_inverse=True)
+    hops = np.empty((len(sources), len(labels)))
     chunk = _block_rows(len(index))  # rows of each dense (chunk, all nodes) hop block
-    for lo in range(0, len(labels), chunk):
-        hops = _bfs_hops(indptr, nbrs, nodes[lo:lo + chunk])
-        np.take(hops, nodes, axis=1, out=values[lo:lo + chunk], mode="clip")
+    for lo in range(0, len(sources), chunk):
+        hops[lo:lo + chunk] = _bfs_hops(indptr, nbrs, sources[lo:lo + chunk])[:, nodes]
+    values = hops[source_of]
+    values += single[:, None]
+    np.fill_diagonal(values, 0.0)
     unreachable = np.argwhere(np.isinf(values))
     if unreachable.size:
         i, j = unreachable[0]

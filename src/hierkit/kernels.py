@@ -4,15 +4,14 @@
 rows reduced over groups of refs, the one exact-distance call;
 ``min_sq_distances`` runs it on every row.  ``_pair_dots`` is the one exact dot
 product, the same recipe with a product in place of the square of a difference:
-the linear scores of ``collapse._linear_labels``.  ``GroupScreen`` (the grid
-cover's step indices and r_max) and ``nearest_refs`` (the NCC readout) screen with
-one GEMM per row block (per pooled row slab in ``GroupScreen``; ``_screen_block``)
-under a proven error bound (``_screen_slack``): in float64, except that
-``nearest_refs`` screens float32 rows in float32.  The linear readout screens its
-scores the same way, under ``_score_slack``.  Rows the bound settles take the
-screened answer (``_settle`` for both readouts); unsettled rows take their exact
-values.  ``_pooled`` is the one thread pool, and ``_one_blas_thread`` the one pin
-of the BLAS at one thread.
+the linear scores of ``_linear_labels``.  ``GroupScreen`` (the grid cover's step
+indices and r_max) screens with one float64 GEMM per pooled row slab
+(``_screen_block``) under a proven error bound (``_screen_slack``).  The two NC4
+readouts, ``nearest_refs`` (NCC) and ``_linear_labels``, are one loop,
+``_screened_argmin``: one GEMM per row block, in float32 for float32 rows, under
+``_screen_slack`` or ``_score_slack``.  Rows the bound settles take the screened
+answer (``_settle``); unsettled rows take their exact values.  ``_pooled`` is the
+one thread pool, and ``_one_blas_thread`` the one pin of the BLAS at one thread.
 """
 from __future__ import annotations
 
@@ -575,35 +574,68 @@ class GroupScreen:
             out[unsettled[lo:lo + rows]] = np.searchsorted(t, exact, side="right")
 
 
-def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Index of the nearest row of ``refs`` for each row of ``x``.
+def _screened_argmin(x: np.ndarray, width: int, screen, refine) -> np.ndarray:
+    """The argmin over ``width`` exact values of each row of ``x``, ties to the
+    lower index, in row blocks of :func:`_block_rows` of the wider of ``width``
+    and p (a float64 row copy) rows: the one loop of both NC4 readouts.
 
-    Bit for bit the ``argmin`` of each row of the exact distances
-    (:func:`_sq_distances`): ties go to the lower index.  Works in row blocks of
-    :func:`_block_rows` of the wider of the ref count (the screen) and the
-    dimension (a float64 row copy); the labels do not depend on the blocking.
-    A GEMM screen (:func:`_screen_block`) and its rounding bound E
-    (:func:`_screen_slack`) settle each row with one candidate ref
-    (:func:`_settle`).  Float32 rows screen in float32, against the refs rounded
-    to float32 once, with no float64 copy of the rows; other rows screen in
-    float64.  Unsettled rows, those with several candidates and those too large
-    for the bound, take their exact row: the ``argmin`` of its :func:`_sq_minima`
-    row over every ref.
+    ``screen(xb)`` takes a row block in the screen dtype, float32 for float32
+    rows and float64 for all others, and returns its screened values and each
+    row's float64 bound E on their error, in any summation order.  :func:`_settle`
+    settles a row with one candidate; ``refine(rows, near)`` gives the exact
+    argmin of the other ``rows`` of ``x`` among their candidates ``near``.  So the
+    labels depend neither on the blocking nor on the BLAS.  Overflow is ignored.
     """
+    dtype = np.float32 if x.dtype == np.float32 else np.float64
+    labels = np.empty(len(x), dtype=np.intp)
+    rows = _block_rows(max(width, x.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(x), rows):
+            s, slack = screen(x[lo:lo + rows].astype(dtype, copy=False))
+            unsettled, near = _settle(s, slack, labels[lo:lo + rows])
+            del s  # so that no two blocks are held at once
+            if unsettled.size:
+                labels[lo + unsettled] = refine(lo + unsettled, near)
+    return labels
+
+
+def nearest_refs(x: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """Index of the nearest row of ``refs`` for each row of ``x``: bit for bit the
+    ``argmin`` of each row of the exact distances (:func:`_sq_distances`).  The
+    :func:`_screened_argmin` screen is one GEMM (:func:`_screen_block`) against the
+    refs rounded to the screen dtype; an unsettled row takes the ``argmin`` of
+    its :func:`_sq_minima` row over every ref."""
     refs = refs.astype(np.float64, copy=False)
     if refs.shape[0] == 0:
         raise ValueError("nearest_refs needs at least one reference point")
-    dtype = np.float32 if x.dtype == np.float32 else np.float64
-    labels = np.empty(len(x), dtype=np.intp)
-    rows = _block_rows(max(refs.shape))
-    with np.errstate(over="ignore", invalid="ignore"):
-        screen_refs = refs.astype(dtype, copy=False)
-        rr = np.einsum("ij,ij->i", screen_refs, screen_refs)
-        for lo in range(0, len(x), rows):
-            s, slack = _screen_block(x[lo:lo + rows].astype(dtype, copy=False), screen_refs, rr)
-            unsettled, _ = _settle(s, slack, labels[lo:lo + rows])
-            del s  # so that no two blocks are held at once
-            if unsettled.size:
-                exact = _sq_minima(x[lo + unsettled], refs)
-                labels[lo + unsettled] = np.argmin(exact, axis=1)
-    return labels
+
+    def screen(xb):
+        screen_refs = refs.astype(xb.dtype, copy=False)
+        return _screen_block(xb, screen_refs, np.einsum("ij,ij->i", screen_refs, screen_refs))
+
+    return _screened_argmin(x, len(refs), screen,
+                            lambda rows, near: np.argmin(_sq_minima(x[rows], refs), axis=1))
+
+
+def _linear_labels(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmax_c t_c for each row of ``x``, ties to the lower class index, where
+    t_c is the exact score for float64 weight rows ``w`` and bias ``b``: the
+    float64 sum, from +0.0, over the dimensions in index order, of the rounded
+    products x_i w_ci (:func:`_pair_dots`), plus b_c.  It is the argmin of -t:
+    the :func:`_screened_argmin` screen is one GEMM against -w and -b rounded to
+    the screen dtype (:func:`_score_slack`), and an unsettled row takes the
+    argmax of the exact scores of its candidates."""
+    ww_max, b_max = np.einsum("ij,ij->i", w, w).max(), np.abs(b).max()
+
+    def screen(xb):
+        s = xb @ np.negative(w, dtype=xb.dtype).T
+        s += np.negative(b, dtype=xb.dtype)
+        return s, _score_slack(np.einsum("ij,ij->i", xb, xb), ww_max, b_max, x.shape[1])
+
+    def refine(rows, near):
+        r, c = np.nonzero(near)
+        scores = np.full(near.shape, -np.inf)
+        scores[r, c] = _pair_dots(x, w, rows[r], c) + b[c]
+        return np.argmax(scores, axis=1)
+
+    return _screened_argmin(x, len(w), screen, refine)

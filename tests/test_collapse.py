@@ -6,10 +6,11 @@ import pytest
 
 import hierkit.collapse as collapse
 import hierkit.kernels as kernels
-from hierkit.collapse import (ClassStats, ClassifierHead, _linear_labels, class_statistics,
+from hierkit.collapse import (ClassStats, ClassifierHead, class_statistics,
                               lift_to_superclass, nc1, nc2_metrics,
                               nc3_self_duality, nc4_mismatch, nc_report,
                               nearest_mean_labels)
+from hierkit.kernels import _linear_labels
 from hierkit.labelspace import LabelSpace
 from hierkit.manifold import FeatureSet
 from hierkit.synth import gen_etf
@@ -436,18 +437,18 @@ class TestLinearReadout:
         assert (top2[:, 1] - top2[:, 0] > 1e-9).all()
         whole = x.astype(np.float64) @ head.weights.T + head.bias
         assert np.array_equal(np.argmax(whole, axis=1), want)
-        assert np.array_equal(_linear_labels(x, head), want)
+        assert np.array_equal(_linear_labels(x, head.weights, head.bias), want)
         for rows in (1, 2, 3, 64):
-            monkeypatch.setattr(collapse, "_block_rows", lambda width: rows)
-            assert np.array_equal(_linear_labels(x, head), want)
+            monkeypatch.setattr(kernels, "_block_rows", lambda width: rows)
+            assert np.array_equal(_linear_labels(x, head.weights, head.bias), want)
 
     @pytest.mark.parametrize("c, p", [(64, 512), (512, 64)])
     def test_blocks_count_the_float64_row_copy(self, monkeypatch, c, p):
         asked = []
-        monkeypatch.setattr(collapse, "_block_rows", lambda width: asked.append(width) or 7)
+        monkeypatch.setattr(kernels, "_block_rows", lambda width: asked.append(width) or 7)
         rng = np.random.default_rng(c)
         head = ClassifierHead(weights=rng.standard_normal((c, p)), bias=np.zeros(c))
-        _linear_labels(rng.standard_normal((20, p)), head)
+        _linear_labels(rng.standard_normal((20, p)), head.weights, head.bias)
         assert asked == [512]
 
     @pytest.mark.parametrize("block_rows", [None, 1, 2, 3])
@@ -457,20 +458,20 @@ class TestLinearReadout:
         x, head = LINEAR_CASES[case]()
         want = _exact_labels(x, head)
         if block_rows is not None:
-            monkeypatch.setattr(collapse, "_block_rows", lambda width: block_rows)
+            monkeypatch.setattr(kernels, "_block_rows", lambda width: block_rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(_linear_labels(x, head), want)
+            assert np.array_equal(_linear_labels(x, head.weights, head.bias), want)
 
     def test_ties_go_to_the_lower_index(self):
         for dtype in (np.float32, np.float64):
             x, head = _exact_tie_case(dtype)
             t = _exact_scores(x, head)
-            labels = _linear_labels(x, head)
+            labels = _linear_labels(x, head.weights, head.bias)
             assert (labels < 3).all() and set(labels) == {0, 1, 2}
             assert (t[:, :3] == t[:, 3:]).all()
         x, head = _zero_rows_case(np.float64)()
-        assert (_linear_labels(x, head)[[0, 4, 15, 19]] == 0).all()
+        assert (_linear_labels(x, head.weights, head.bias)[[0, 4, 15, 19]] == 0).all()
 
     @pytest.mark.parametrize("case", ["near_ties_float32", "near_ties_float64",
                                       "exact_ties_float32", "scale_x1e-30_w1e0_float32",
@@ -487,8 +488,8 @@ class TestLinearReadout:
             pairs.append(len(rows))
             return exact(xa, w, rows, cols)
 
-        monkeypatch.setattr(collapse, "_pair_dots", spy)
-        assert np.array_equal(_linear_labels(x, head), _exact_labels(x, head))
+        monkeypatch.setattr(kernels, "_pair_dots", spy)
+        assert np.array_equal(_linear_labels(x, head.weights, head.bias), _exact_labels(x, head))
         assert sum(pairs) > 0
         if case.startswith("near_ties"):
             t = np.sort(_exact_scores(x, head), axis=1)
@@ -505,8 +506,8 @@ class TestLinearReadout:
             rows.append(len(unsettled))
             return unsettled, near
 
-        monkeypatch.setattr(collapse, "_settle", spy)
-        assert np.array_equal(_linear_labels(x, head), _exact_labels(x, head))
+        monkeypatch.setattr(kernels, "_settle", spy)
+        assert np.array_equal(_linear_labels(x, head.weights, head.bias), _exact_labels(x, head))
         assert sum(rows) <= len(x) // 100
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -571,7 +572,6 @@ class TestBoundedMemory:
 
     def test_traced_peaks(self, monkeypatch):
         monkeypatch.setattr(kernels, "_block_rows", lambda width: 256)
-        monkeypatch.setattr(collapse, "_block_rows", lambda width: 256)
         rng = np.random.default_rng(15)
         n, c, p = 20_000, 200, 128
         labels = rng.permutation(np.arange(n) % c)
@@ -592,12 +592,12 @@ class TestBoundedMemory:
     def test_linear_readout_of_float32_rows(self, monkeypatch):
         # no float64 copy of the rows (n * p * 8 bytes, 20 MB) and no N x C
         # array: neither the scores (16 MB in float32) nor a mask (4 MB)
-        monkeypatch.setattr(collapse, "_block_rows", lambda width: 256)
+        monkeypatch.setattr(kernels, "_block_rows", lambda width: 256)
         rng = np.random.default_rng(16)
         n, c, p = 20_000, 200, 128
         x = rng.standard_normal((n, p)).astype(np.float32)
         head = ClassifierHead(weights=rng.standard_normal((c, p)), bias=rng.standard_normal(c))
-        labels, peak = self._peak(lambda: _linear_labels(x, head))
+        labels, peak = self._peak(lambda: _linear_labels(x, head.weights, head.bias))
         assert peak < n * c / 4
         assert np.array_equal(labels, np.argmax(x.astype(np.float64) @ head.weights.T + head.bias,
                                                 axis=1))

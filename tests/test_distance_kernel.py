@@ -1010,6 +1010,44 @@ def test_nearest_refs_edge_shapes():
         nearest_refs(np.ones((3, 2)), np.zeros((0, 2)))
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       n=st.integers(0, 12), m=st.integers(1, 6))
+def test_screened_argmin_is_exact_for_any_screen_within_its_bound(data, dtype, n, m):
+    # The contract of both readouts' loop: a screen may put each value anywhere
+    # within its row's E of the exact one, exactly +-E and exact ties included,
+    # and the labels are still the exact argmin, ties to the lower index, in
+    # blocks of any size.  Rows without a bound (E = inf) screen in reverse
+    # order.  Values and E are small dyadic numbers, so each screen is exact.
+    def draws(elements, shape):
+        return np.array(data.draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                           max_size=int(np.prod(shape)))), dtype=float).reshape(shape)
+
+    exact = draws(st.integers(0, 4), (n, m))
+    slack = draws(st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf]), (n,))
+    bounded = np.isfinite(slack)
+    moved = exact + draws(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), (n, m)) * np.where(
+        bounded, slack, 0.0)[:, None]
+    screened = np.where(bounded[:, None], moved, 4.0 - exact)
+    x = np.arange(n, dtype=dtype)[:, None]  # each row holds its own index
+
+    def screen(xb):
+        assert xb.dtype == dtype
+        rows = xb[:, 0].astype(np.intp)
+        return screened[rows].astype(dtype), slack[rows]
+
+    def refine(rows, near):
+        assert near.shape == (len(rows), m)
+        return np.argmin(np.where(near, exact[rows], np.inf), axis=1)
+
+    for block_rows in (None, 1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:
+                patch.setattr(kernels, "_block_rows", lambda width: block_rows)
+            labels = kernels._screened_argmin(x, m, screen, refine)
+        assert np.array_equal(labels, np.argmin(exact, axis=1))
+
+
 # ------------------------------------ one exact call: unsettled rows, whole
 
 def test_unsettled_rows_take_their_whole_exact_row(monkeypatch):

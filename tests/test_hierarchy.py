@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -254,6 +254,12 @@ def _forests(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_forests())
+# a class with no edges; a leaf class with two parents beside one with one;
+# five leaves under two parents, whose two sources run in chunks of one
+@example(([], ["0\tn0"], [0], None))
+@example((["n0\tn1", "n0\tn2", "n1\tn3", "n2\tn3", "n1\tn4"], ["0\tn3", "1\tn4"], [1, 0], None))
+@example((["n0\tn1", "n0\tn2", "n0\tn3", "n1\tn4", "n1\tn5", "n1\tn6"],
+          ["0\tn2", "1\tn3", "2\tn4", "3\tn5", "4\tn6"], [4, 0, 2, 1, 3], 1))
 def test_graph_distances_match_shortest_path(forest):
     # In source chunks and frontier pieces of 1 to 3 rows too; a disconnected
     # pair raises naming the first such pair in row-major order.
