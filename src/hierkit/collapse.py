@@ -11,10 +11,9 @@ NC4 compares two readouts, ``kernels.nearest_refs`` and
 float64 sums, screened in the one loop ``kernels._screened_argmin``, so neither
 depends on the BLAS build, its thread count or the row blocking.
 
-Desk-sized scatter products and pseudoinverses hold the BLAS at one thread
-(``kernels._one_blas_thread``): only at shapes where numpy's bundled OpenBLAS
-gives the same bits on one thread as on two, so the pin changes their time and
-not their output.
+The scatter products, NC1's pseudoinverse and NC2's cosines run at one BLAS
+thread (``kernels._one_blas_thread``) at every shape, and NC3's norms are
+``kernels._sum_squares``, which call no BLAS.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import _linear_labels, _one_blas_thread, nearest_refs
+from .kernels import _linear_labels, _one_blas_thread, _sum_squares, nearest_refs
 from .manifold import FeatureSet
 
 if TYPE_CHECKING:
@@ -190,16 +189,13 @@ def class_statistics(f: FeatureSet) -> ClassStats:
     class 0..C-1 must have at least one example.
     """
     counts, class_means = _class_means(f)
-    n = len(f)
-    c = f.class_count
     global_mean = f.vectors.mean(axis=0, dtype=np.float64)
     dev_w = class_means[f.labels]
     np.subtract(f.vectors, dev_w, out=dev_w)
-    # the N x p and C x p products keep their bits on one thread up to here
-    with _one_blas_thread(n <= 2048 and f.dimension <= 64):
-        sigma_w = dev_w.T @ dev_w / n
+    with _one_blas_thread():
+        sigma_w = dev_w.T @ dev_w / len(f)
         dev_b = class_means - global_mean
-        sigma_b = dev_b.T @ dev_b / c
+        sigma_b = dev_b.T @ dev_b / f.class_count
     return ClassStats(global_mean=global_mean, class_means=class_means,
                       counts=counts, sigma_w=sigma_w, sigma_b=sigma_b)
 
@@ -214,7 +210,7 @@ def nc1(stats: ClassStats) -> float:
     c = stats.class_count
     p = stats.dimension
     rcond = 1e-10 * max(p, c)
-    with _one_blas_thread(p <= 64):  # the Hermitian pinv keeps its bits up to here
+    with _one_blas_thread():
         pinv = np.linalg.pinv(stats.sigma_b, rcond=rcond, hermitian=True)
     return float(np.einsum("ij,ji->", stats.sigma_w, pinv) / c)
 
@@ -238,7 +234,8 @@ def nc2_metrics(stats: ClassStats, head: ClassifierHead) -> Nc2Stats:
             raise ValueError(f"zero-length {what}: cosine undefined")
         beta = float(norms.std() / norms.mean())
         unit = rows / norms[:, None]
-        cos = unit @ unit.T
+        with _one_blas_thread():
+            cos = unit @ unit.T
         iu = np.triu_indices(rows.shape[0], k=1)
         alpha = float(cos[iu].std())
         return beta, alpha
@@ -256,13 +253,11 @@ def nc3_self_duality(stats: ClassStats, head: ClassifierHead) -> float:
     """
     if head.class_count != stats.class_count:
         raise ValueError("head row count does not match the number of classes")
-    m_dot = (stats.class_means - stats.global_mean).T
-    wt = head.weights.T
-    nw = float(np.linalg.norm(wt))
-    nm = float(np.linalg.norm(m_dot))
+    means = stats.class_means - stats.global_mean
+    nw, nm = np.sqrt(_sum_squares(head.weights)), np.sqrt(_sum_squares(means))
     if nw == 0 or nm == 0:
         raise ValueError("nc3 undefined: zero weight or zero centered-means matrix")
-    return float(np.linalg.norm(wt / nw - m_dot / nm))
+    return float(np.sqrt(_sum_squares(head.weights / nw - means / nm)))
 
 
 def nearest_mean_labels(f: FeatureSet, stats: Optional[ClassStats] = None) -> np.ndarray:
@@ -315,9 +310,7 @@ def lift_to_superclass(stats: ClassStats, head: Optional[ClassifierHead],
     dev_b = means_s - stats.global_mean
     n_total = float(stats.counts.sum())
     dev = stats.class_means - means_s[table]
-    p = stats.dimension
-    # the S x p product and the p x C x p GEMM keep their bits on one thread up to here
-    with _one_blas_thread(c <= 2048 and p <= 64 and c * p * p <= 2**18):
+    with _one_blas_thread():
         sigma_b = dev_b.T @ dev_b / s_count
         sigma_w = stats.sigma_w + (dev * (stats.counts / n_total)[:, None]).T @ dev
 

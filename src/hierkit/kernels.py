@@ -4,14 +4,16 @@
 rows reduced over groups of refs, the one exact-distance call;
 ``min_sq_distances`` runs it on every row.  ``_pair_dots`` is the one exact dot
 product, the same recipe with a product in place of the square of a difference:
-the linear scores of ``_linear_labels``.  ``GroupScreen`` (the grid cover's step
-indices and r_max) screens with one float64 GEMM per pooled row slab
-(``_screen_block``) under a proven error bound (``_screen_slack``).  The two NC4
+the linear scores of ``_linear_labels`` and the sums of ``ccc``, ``nc3`` and the
+random-guess baseline.  ``GroupScreen`` (the grid cover's step indices and r_max)
+screens with one float64 GEMM per pooled row slab (``_screen_block``) under a
+proven error bound (``_screen_slack``).  The two NC4
 readouts, ``nearest_refs`` (NCC) and ``_linear_labels``, are one loop,
 ``_screened_argmin``: one GEMM per row block, in float32 for float32 rows, under
 ``_screen_slack`` or ``_score_slack``.  Rows the bound settles take the screened
 answer (``_settle``); unsettled rows take their exact values.  ``_pooled`` is the
-one thread pool, and ``_one_blas_thread`` the one pin of the BLAS at one thread.
+one thread pool, and ``_one_blas_thread`` the one pin of the BLAS at one thread,
+held by every BLAS call whose result reaches an output.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ def _usable_cpus() -> int:
 # None until then, () where absent
 _blas_threads = None
 _pin_lock = threading.Lock()
-_pin_holders = 0  # threads inside _one_blas_thread(True)
+_pin_holders = 0  # threads inside _one_blas_thread()
 _pin_saved = 1  # the thread count the last holder restores
 
 
@@ -69,19 +71,18 @@ def _blas_thread_api() -> tuple:
 
 
 @contextmanager
-def _one_blas_thread(pin: bool = True):
-    """Hold the BLAS at one thread for the body of the ``with``, if ``pin``.
+def _one_blas_thread():
+    """Hold the BLAS at one thread for the body of the ``with``.
 
     Reference-counted across threads: the first holder saves the thread count
     and sets 1, and the last to leave restores it, exception or not.  The count
     is process-wide, so while anyone holds the pin every BLAS call of the
-    process runs on one thread and gives its one-thread bits.  Callers pin only
-    shapes whose bits the thread count does not change on numpy's bundled
-    OpenBLAS, so the pin changes their time, not their output.  It does nothing
-    where :func:`_blas_thread_api` finds no symbols.
+    process runs on one thread and gives its one-thread bits.  Every BLAS or
+    LAPACK call whose result reaches an output runs inside it, at any shape.  It
+    does nothing where :func:`_blas_thread_api` finds no symbols.
     """
     global _pin_holders, _pin_saved
-    api = _blas_thread_api() if pin else ()
+    api = _blas_thread_api()
     if api:
         get, put = api
         with _pin_lock:
@@ -172,6 +173,12 @@ def _pair_dots(x: np.ndarray, w: np.ndarray, rows: np.ndarray, cols: np.ndarray)
     return out
 
 
+def _sum_squares(a: np.ndarray) -> float:
+    """The :func:`_pair_dots` sum of the squared entries of ``a``, which calls no BLAS."""
+    row, first = a.reshape(1, -1), np.zeros(1, dtype=np.intp)
+    return float(_pair_dots(row, row, first, first)[0])
+
+
 def _sq_minima(x: np.ndarray, refs: np.ndarray, starts=None, out=None) -> np.ndarray:
     """The (n, G) float64 array whose [i, g] is the minimum squared Euclidean
     distance from x[i] to the non-empty group refs[starts[g]:starts[g + 1]] (the
@@ -220,11 +227,10 @@ def _pooled(task, items: range, scratch=None, blas: bool = False) -> None:
 
     Two or more threads run under :func:`_one_blas_thread`, so that a task's
     BLAS call runs on the task's own thread and wakes no BLAS worker onto a core
-    that the pool needs.  Tasks that call the BLAS
-    (``blas=True``) run serially where that pin is absent, since two threaded
-    calls at once would oversubscribe the cores.  A failing task stops its
-    thread, and the error raised is that of the first failing item, as in a
-    serial loop.
+    that the pool needs.  Tasks that call the BLAS (``blas=True``) run serially
+    where that pin is absent, since two threaded calls at once would
+    oversubscribe the cores.  A failing task stops its thread, and the error
+    raised is that of the first failing item, as in a serial loop.
     """
     workers = max(1, min(_usable_cpus(), len(items)))
     if blas and not _blas_thread_api():

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .hierarchy import DistanceMatrix
-from .kernels import GroupScreen, _block_rows, _pooled, min_sq_distances
+from .kernels import GroupScreen, _block_rows, _pair_dots, _pooled, min_sq_distances
 from .rng import substream
 
 __all__ = [
@@ -293,14 +293,12 @@ def to_distance_matrix(a: SimilarityMatrix) -> DistanceMatrix:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xm = x - x.mean()
-    ym = y - y.mean()
-    sx = float(np.dot(xm, xm))
-    sy = float(np.dot(ym, ym))
+    dev = np.stack([x - x.mean(), y - y.mean()])
+    sx, sy, sxy = _pair_dots(dev, dev, np.array([0, 1, 0]), np.array([0, 1, 1]))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("zero variance: correlation undefined")
     # single sqrt keeps affine copies at exactly +-1 when sums are exact
-    r = float(np.dot(xm, ym)) / float(np.sqrt(sx * sy))
+    r = float(sxy) / float(np.sqrt(sx * sy))
     return min(1.0, max(-1.0, r))
 
 

@@ -12,6 +12,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .kernels import _sum_squares
+
 if TYPE_CHECKING:
     from .labelspace import LabelSpace
 
@@ -135,10 +137,10 @@ def baseline(s: "LabelSpace") -> float:
 
     P_r is the share of the classes that superclass r holds (uniform priors
     over classes).  It is summed from per-class terms 1/C, not taken as
-    size/C, which fixes the bits of every gain table.
+    size/C, and squared by ``kernels._sum_squares``: that fixes every gain table's bits.
     """
     mass = np.bincount(s.table, weights=np.full(s.class_count, 1.0 / s.class_count))
-    return float(mass @ mass)
+    return _sum_squares(mass)
 
 
 def relative_accuracy(a: MetricSeries) -> MetricSeries:

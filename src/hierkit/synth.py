@@ -109,7 +109,8 @@ def gen_etf(c_count: int, dim: int, scale: float = 1.0) -> np.ndarray:
     if not np.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
     y = np.eye(c_count) - 1.0 / c_count
-    u, sv, _ = np.linalg.svd(y)
+    with _one_blas_thread():
+        u, sv, _ = np.linalg.svd(y)
     coords = u[:, :c_count - 1] * sv[:c_count - 1]
     frame = np.zeros((c_count, dim))
     frame[:, :c_count - 1] = coords
@@ -137,7 +138,7 @@ def gen_hierarchical_trajectory(h: Hierarchy, s: LabelSpace,
         raise ValueError(f"dimension must be >= superclasses + classes = {s_count + c}, got {p}")
 
     rng = substream(params.seed, 0)
-    with _one_blas_thread(p <= 128):  # the qr keeps its bits up to here
+    with _one_blas_thread():
         basis = np.linalg.qr(rng.standard_normal((p, s_count + c)))[0]
     anchors = basis[:, :s_count].T
     class_dirs = basis[:, s_count:].T

@@ -86,7 +86,8 @@ class TestClassStatistics:
     def test_matches_the_float64_copy(self, dtype, p):
         # The statistics once worked on x = vectors.astype(float64); they now
         # read the vectors directly.  N > 8192 spans several of numpy's cast
-        # buffers, and unsorted labels take the sorted class-sum path.
+        # buffers, and unsorted labels take the sorted class-sum path.  The
+        # products are pinned to one BLAS thread, as class_statistics pins its own.
         rng = np.random.default_rng(p)
         n, c = 20_000, 30
         labels = rng.integers(0, c, n)
@@ -98,9 +99,11 @@ class TestClassStatistics:
         dev_w = st.class_means[f.labels]
         np.subtract(x, dev_w, out=dev_w)
         dev_b = st.class_means - global_mean
+        with kernels._one_blas_thread():
+            sigma_w, sigma_b = dev_w.T @ dev_w / n, dev_b.T @ dev_b / c
         assert np.array_equal(st.global_mean, global_mean)
-        assert np.array_equal(st.sigma_w, dev_w.T @ dev_w / n)
-        assert np.array_equal(st.sigma_b, dev_b.T @ dev_b / c)
+        assert np.array_equal(st.sigma_w, sigma_w)
+        assert np.array_equal(st.sigma_b, sigma_b)
 
     def test_scatter_symmetry_enforced(self):
         with pytest.raises(ValueError, match="not symmetric"):

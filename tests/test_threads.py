@@ -2,10 +2,13 @@
 (``kernels._one_blas_thread``).
 
 The pin holds numpy's bundled OpenBLAS at one thread while anyone is inside and
-restores the count when the last holder leaves, whatever happens inside.  The
-pinned library calls keep their bits: a child process at one BLAS thread and one
-at two give the same bytes, pinned or not.  Where the OpenBLAS symbols are
-absent the pin does nothing, and pooled tasks that call the BLAS run serially.
+restores the count when the last holder leaves, whatever happens inside.  Every
+BLAS or LAPACK call whose result reaches an output runs inside it, at any shape,
+so the CLI writes the same bytes in a child process at one BLAS thread and at
+two, and at one thread the pin changes no byte.  ``ccc`` and ``nc3`` call no
+BLAS, so they keep their bytes under every OpenBLAS kernel.  Where the OpenBLAS
+symbols are absent the pin does nothing, and pooled tasks that call the BLAS run
+serially.
 """
 
 import json
@@ -13,6 +16,7 @@ import os
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +26,12 @@ import hierkit
 import hierkit.collapse as collapse
 import hierkit.kernels as kernels
 import hierkit.synth as synth
-from hierkit.collapse import class_statistics, lift_to_superclass, nc1
-from hierkit.synth import default_trajectory_params, gen_hierarchical_trajectory
+from hierkit.cli import run
+from hierkit.collapse import (ClassifierHead, class_statistics, lift_to_superclass, nc1,
+                              nc2_metrics)
+from hierkit.io import write_features, write_head
+from hierkit.manifold import FeatureSet
+from hierkit.synth import default_trajectory_params, gen_etf, gen_hierarchical_trajectory
 
 from _helpers import balanced_hierarchy
 
@@ -44,16 +52,20 @@ def blas_threads():
 
 
 @pytest.fixture
-def pins(monkeypatch):
-    """The ``pin`` argument of every ``_one_blas_thread`` call that collapse makes."""
+def pins(monkeypatch, blas_threads):
+    """The BLAS thread count inside each ``_one_blas_thread`` entry that collapse
+    and synth make, with the count set to 2 outside."""
     seen = []
     pin = kernels._one_blas_thread
 
-    def recording(flag=True):
-        seen.append(bool(flag))
-        return pin(flag)
+    @contextmanager
+    def spy():
+        with pin():
+            seen.append(blas_threads())
+            yield
 
-    monkeypatch.setattr(collapse, "_one_blas_thread", recording)
+    monkeypatch.setattr(collapse, "_one_blas_thread", spy)
+    monkeypatch.setattr(synth, "_one_blas_thread", spy)
     return seen
 
 
@@ -71,12 +83,6 @@ def test_pin_holds_one_thread_and_restores_the_count_after_an_exception(blas_thr
         with kernels._one_blas_thread():
             assert blas_threads() == 1
             raise RuntimeError("inside")
-    assert blas_threads() == 2
-
-
-def test_unpinned_call_leaves_the_count(blas_threads):
-    with kernels._one_blas_thread(False):
-        assert blas_threads() == 2
     assert blas_threads() == 2
 
 
@@ -187,6 +193,7 @@ def test_pool_raises_the_error_of_the_first_failing_item(monkeypatch, workers):
 
 def test_desk_shaped_calls_pin_and_restore_the_count(blas_threads, pins):
     f, space = _desk_stats()
+    pins.clear()  # the trajectory's own qr
     stats = class_statistics(f)
     assert blas_threads() == 2
     lifted, _ = lift_to_superclass(stats, None, space)
@@ -194,19 +201,24 @@ def test_desk_shaped_calls_pin_and_restore_the_count(blas_threads, pins):
     nc1(stats)
     nc1(lifted)
     assert blas_threads() == 2
-    assert pins == [True, True, True, True]
+    assert pins == [1, 1, 1, 1]
 
 
-def test_larger_shapes_are_not_pinned(blas_threads, pins):
-    # p = 65 is past every rule; 2049 examples past class_statistics' rule
-    f, space = _desk_stats(p=65)
-    stats = class_statistics(f)
-    lift_to_superclass(stats, None, space)
-    nc1(stats)
-    wide, _ = _desk_stats(p=64, groups=3, per_group=3, per_class=683)
-    class_statistics(wide)
-    assert pins == [False, False, False, False]
-    assert blas_threads() == 2
+def test_output_bearing_calls_pin_past_every_old_shape_rule(blas_threads, pins):
+    # p = 129 and N = 60 * 35 = 2100 lie past every shape rule the pin once had
+    def pinned(call, *args):
+        pins.clear()
+        out = call(*args)
+        assert pins and set(pins) == {1}, call.__name__
+        assert blas_threads() == 2
+        return out
+
+    f, space = pinned(_desk_stats, 129, 3, 20, 35)  # the trajectory's qr
+    stats = pinned(class_statistics, f)
+    pinned(lift_to_superclass, stats, None, space)
+    pinned(nc1, stats)
+    pinned(nc2_metrics, stats, ClassifierHead(stats.class_means, np.zeros(60)))
+    pinned(gen_etf, 60, 129)
 
 
 def test_pinned_calls_keep_their_bits(monkeypatch):
@@ -257,94 +269,120 @@ def test_ncc_log_is_serial_without_the_pin(monkeypatch, absent):
         assert threading.get_ident() not in threads
 
 
-# ------------------------------------ the pinned shapes at one and two threads
+# ------------------------------------------- CLI bytes across threads and kernels
 
 _CHILD = """
-import hashlib, json
-import numpy as np
+import ctypes, json, sys
+from numpy._core import _multiarray_umath
 import hierkit.kernels as kernels
-from hierkit.collapse import class_statistics, lift_to_superclass, nc1
-from hierkit.hierarchy import parse_hierarchy
-from hierkit.labelspace import build_labelspace, parse_grouping
-from hierkit.manifold import FeatureSet
-from hierkit.synth import default_trajectory_params, gen_hierarchical_trajectory
+from hierkit.cli import run
 
-
-def tree(groups, per_group):
-    edges, classes, grouping = [], [], []
-    for g in range(groups):
-        edges.append(f"root\\tg{g}")
-        grouping.append(f"g{g}\\tg{g}")
-        for j in range(per_group):
-            c = g * per_group + j
-            edges.append(f"g{g}\\tn{c}")
-            classes.append(f"{c}\\tn{c}")
-    h = parse_hierarchy(edges, classes)
-    return h, build_labelspace(h, parse_grouping(grouping), name="s")[0]
-
-
-def trajectory(groups, per_group, p, per_class, epochs):
-    h, s = tree(groups, per_group)
-    params = default_trajectory_params(epochs=epochs, dimension=p,
-                                       examples_per_class=per_class, seed=5)
-    return gen_hierarchical_trajectory(h, s, params), s
-
-
-def features(groups, per_group, p, per_class):
-    c = groups * per_group
-    rng = np.random.default_rng(c * p)
-    labels = np.repeat(np.arange(c), per_class)
-    x = rng.standard_normal((c, p))[labels] * 3 + rng.standard_normal((len(labels), p))
-    return [FeatureSet(x, labels, c)], tree(groups, per_group)[1]
-
-
-def digest(sets, s, statistics=True):
-    out = hashlib.sha256()
-    for f in sets:
-        out.update(f.vectors.tobytes())
-        if statistics:
-            stats = class_statistics(f)
-            lifted, _ = lift_to_superclass(stats, None, s)
-            for a in (stats.sigma_w, stats.sigma_b, lifted.sigma_w, lifted.sigma_b,
-                      np.array([nc1(stats), nc1(lifted)])):
-                out.update(a.tobytes())
-    return out.hexdigest()
-
-
-def digests():
-    return [
-        digest(*trajectory(3, 20, 64, 20, 4)),  # the desk shape
-        digest(*features(2, 32, 64, 32)),  # N = 2048, C = 64 and p = 64
-        digest(*features(8, 256, 11, 1)),  # C = 2048 at p = 11
-        digest(*trajectory(4, 31, 128, 2, 1), statistics=False),  # a 128 x 128 qr
-        digest(*features(2, 50, 100, 10)),  # past every rule: the thread count shows here
-    ]
-
-
-pinned = digests()
-kernels._blas_threads = ()  # as if the symbols were absent: nothing is pinned
-print(json.dumps({"pinned": pinned, "unpinned": digests()}))
+commands, dirs = json.loads(sys.argv[1]), sys.argv[2:]
+for d, out in enumerate(dirs):
+    if d:  # as if the symbols were absent: nothing is pinned
+        kernels._blas_threads = ()
+    for k, argv in enumerate(commands):
+        assert run(argv + ["--out", f"{out}/{k}"]) == 0, argv
+try:
+    core = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+except AttributeError:  # not numpy's bundled OpenBLAS
+    core = None
+else:
+    core.restype = ctypes.c_char_p
+print(json.dumps(core().decode() if core else None))
 """
 
 
-def _child(threads: str) -> dict:
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """The argv of five CLI runs at about 500 classes and p = 512, on inputs
+    written once: ``nc compute`` with and without ``--labelspace``, ``manifold
+    ccc``, ``synth features`` and ``synth etf``.  ``ccc`` and ``nc3`` come from
+    the first three."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    groups, per_group, p, per_class = 24, 20, 512, 8  # S + C = 504 <= p
+    c = groups * per_group
+    edges, classes, grouping = [], [], []
+    for g in range(groups):
+        edges.append(f"root\tg{g}")
+        grouping.append(f"g{g}\tg{g}")
+        for j in range(per_group):
+            edges.append(f"g{g}\tn{g * per_group + j}")
+            classes.append(f"{g * per_group + j}\tn{g * per_group + j}")
+    for name, lines in (("edges.tsv", edges), ("classes.tsv", classes),
+                        ("groups.tsv", grouping)):
+        (root / name).write_text("\n".join(lines) + "\n")
+    tax = ["--hierarchy", str(root / "edges.tsv"), "--classes", str(root / "classes.tsv")]
+    assert run(["labelspace", "build", *tax, "--groups", str(root / "groups.tsv"),
+                "--out", str(root)]) == 0
+    rng = np.random.default_rng(7)
+    labels = np.repeat(np.arange(c), per_class)
+    x = rng.standard_normal((c, p))[labels] * 3 + rng.standard_normal((len(labels), p))
+    write_features(FeatureSet(x, labels, c), root / "features.bin")
+    write_head(ClassifierHead(rng.standard_normal((c, p)), rng.standard_normal(c)),
+               root / "head.bin")
+    (root / "traj.cfg").write_text(f"epochs=1\ndimension={p}\nexamples_per_class=2\n")
+    nc = ["nc", "compute", "--features", str(root / "features.bin"),
+          "--head", str(root / "head.bin")]
+    space = ["--labelspace", str(root / "hypernyms.tsv")]
+    return [nc, nc + space,
+            ["manifold", "ccc", "--features", str(root / "features.bin"), *tax,
+             "--k", "4", "--seed", "0"],
+            ["synth", "features", *tax, *space, "--config", str(root / "traj.cfg"),
+             "--seed", "1"],
+            ["synth", "etf", "--class-count", "1000", "--dim", "1200"]]
+
+
+def _child(tmp: Path, commands: list, dirs: list, **env) -> tuple:
+    """Run ``commands`` through the CLI in a child process with ``env`` set, once
+    into each of ``dirs`` (the second with nothing pinned).  Returns the core
+    name OpenBLAS reports, or None, and for each dir its files' bytes by path."""
     src = str(Path(hierkit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD], env=env, capture_output=True,
-                          text=True, timeout=300)
+    dirs = [tmp / d for d in dirs]
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(commands), *map(str, dirs)],
+                          env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    files = [{f.relative_to(d).as_posix(): f.read_bytes()
+              for f in sorted(d.rglob("*")) if f.is_file()} for d in dirs]
+    return json.loads(proc.stdout.splitlines()[-1]), files
 
 
-def test_pinned_shapes_give_the_same_bytes_on_one_and_two_threads():
-    # Each child computes every shape pinned where the rules say so, then with
-    # nothing pinned: a pin may change no byte.  The shapes within the rules must
-    # give the same bytes at one thread and at two; the last one, past them,
-    # checks that no rule pins a shape whose bits follow the thread count.
+def test_cli_bytes_are_the_same_on_one_and_two_threads(tmp_path, cli_inputs):
+    # The one-thread child also reruns every command with nothing pinned: at one
+    # thread the pin may change no byte.
     if not kernels._blas_thread_api():
         pytest.skip(_ABSENT)
-    one, two = _child("1"), _child("2")
-    assert one["pinned"] == one["unpinned"]
-    assert two["pinned"] == two["unpinned"]
-    assert one["pinned"][:4] == two["pinned"][:4]
+    _, (one, unpinned) = _child(tmp_path, cli_inputs, ["one", "unpinned"],
+                                OPENBLAS_NUM_THREADS="1")
+    _, (two,) = _child(tmp_path, cli_inputs, ["two"], OPENBLAS_NUM_THREADS="2")
+    assert len(one) == 11  # five run.json, three nc_*.json, ccc.json and two .bin
+    assert one == unpinned
+    assert one == two
+
+
+def test_ccc_and_nc3_are_the_same_under_every_openblas_kernel(tmp_path, cli_inputs):
+    # ccc and nc3 are kernels._pair_dots sums, and their inputs call no BLAS
+    runs = {}
+    for kernel in ("", "Haswell", "Sandybridge"):
+        env = {"OPENBLAS_CORETYPE": kernel} if kernel else {}
+        runs[kernel] = _child(tmp_path, cli_inputs[:3], [kernel or "default"],
+                              OPENBLAS_NUM_THREADS="1", **env)
+    cores = {core for core, _ in runs.values()}
+    if None in cores:
+        pytest.skip("scipy_openblas_get_corename64_ is absent: not numpy's bundled "
+                    "OpenBLAS, so OPENBLAS_CORETYPE cannot be seen to pick a kernel")
+    if len(cores) == 1:
+        pytest.skip(f"OPENBLAS_CORETYPE leaves the core at {cores.pop()}: not a "
+                    "DYNAMIC_ARCH OpenBLAS, or this CPU runs none of those kernels")
+
+    def kept(files):
+        nc3 = {name: json.loads(data)["nc3"] for name, data in files.items()
+               if name.startswith(("0/nc_", "1/nc_"))}
+        return files["2/ccc.json"], nc3
+
+    (_, (default,)), *others = runs.values()
+    assert len(kept(default)[1]) == 3
+    for core, (files,) in others:
+        assert kept(files) == kept(default), core
